@@ -65,12 +65,12 @@ bench:
 # iteration-weighted); the multi-second figure/ablation/daemon benches stay
 # at one iteration — their payload is the custom metrics (mean delays,
 # decisions_per_s), which average internally over many slots already. The
-# DecisionServer cold/incremental pair runs at a fixed 15 iterations so the
+# DecisionServer fresh-solve/warm pair runs at a fixed 15 iterations so the
 # warm path is measured at steady state (its first iterations are spent
-# building carried bases/flows) instead of on its cold-start transient.
+# building carried bases) instead of on its cold-start transient.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'ObserverNopHooks' -benchmem -benchtime 100000x -count 3 . && \
-	  $(GO) test -run '^$$' -bench 'SolveLP|LSTMStep|Incremental|SimplexColdVsWarm|Checkpoint|Recovery' -benchmem -benchtime 20x -count 3 . && \
+	  $(GO) test -run '^$$' -bench 'SolveLP|LSTMStep|Incremental|Checkpoint|Recovery' -benchmem -benchtime 20x -count 3 . && \
 	  $(GO) test -run '^$$' -bench 'DecisionServer64Cells' -benchmem -benchtime 15x . && \
 	  $(GO) test -run '^$$' -bench 'Fig|RegretBound|GammaSweep|ScheduleAblation|AdaptiveBaselines|OracleGap|WarmCacheAblation|FailureRobustness|ScheduledEvents|ObserverSimOverhead' -benchmem -benchtime 1x . ; } \
 		| $(GO) run ./cmd/benchjson -pr $(PR) -out BENCH_$(PR).json

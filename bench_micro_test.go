@@ -119,8 +119,8 @@ var incrementalBenchModes = []string{"fresh", "workspace", "warm", "skip"}
 // BenchmarkIncrementalFlow measures the min-cost-flow path at experiment
 // scale under bursty demand drift (~10% of requests jitter per slot, the
 // paper's bursty-user pattern): fresh allocation vs workspace reuse (both
-// re-solve from scratch) vs incremental repair that re-routes only the
-// changed requests, plus the unchanged-slot skip.
+// rebuild the network-simplex basis from scratch) vs the warm solve that
+// re-optimises the carried basis, plus the unchanged-slot skip.
 func BenchmarkIncrementalFlow(b *testing.B) {
 	for _, mode := range incrementalBenchModes {
 		b.Run(mode, func(b *testing.B) {
@@ -138,44 +138,6 @@ func BenchmarkIncrementalFlow(b *testing.B) {
 				if _, err := p.SolveLPFlowWS(ws); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if mode != "skip" {
-					driftBenchVolumes(rng, p, base)
-				}
-				if _, err := p.SolveLPFlowWS(ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSimplexColdVsWarm measures the network-simplex flow engine at
-// experiment scale under the same bursty demand drift as
-// BenchmarkIncrementalFlow: cold rebuilds the basis from scratch every slot,
-// warm re-optimises the carried spanning-tree basis (incremental mode), and
-// skip replays an unchanged slot. Comparing warm here against
-// BenchmarkIncrementalFlow/warm is the engine-vs-engine headline: pivots on
-// a carried basis vs SSP re-routing the changed delta.
-func BenchmarkSimplexColdVsWarm(b *testing.B) {
-	for _, mode := range []string{"cold", "warm", "skip"} {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			p := benchCachingProblem(31, 40, 20, 5)
-			base := make([]float64, len(p.Requests))
-			for l := range p.Requests {
-				base[l] = p.Requests[l].Volume
-			}
-			rng := rand.New(rand.NewSource(32))
-			ws := caching.NewWorkspace()
-			if err := ws.SetFlowEngine(caching.FlowEngineSimplex); err != nil {
-				b.Fatal(err)
-			}
-			ws.EnableIncremental(mode != "cold")
-			if _, err := p.SolveLPFlowWS(ws); err != nil {
-				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,8 +1,14 @@
 package l4e
 
 import (
+	"bytes"
 	"math"
 	"testing"
+
+	"github.com/mecsim/l4e/internal/algorithms"
+	"github.com/mecsim/l4e/internal/caching"
+	"github.com/mecsim/l4e/internal/flow"
+	"github.com/mecsim/l4e/internal/obs"
 )
 
 // chaosMatrixPolicies are the paper's five policies the chaos matrix sweeps.
@@ -11,7 +17,7 @@ var chaosMatrixPolicies = []string{"OL_GD", "OL_GAN", "Greedy_GD", "Pri_GD", "OL
 // chaosScenario builds the small environment every matrix cell runs on: 20
 // stations, 24 requests, a 12-slot horizon — large enough for regions and
 // flow-scale solves, small enough to sweep injector x policy quickly.
-func chaosScenario(t *testing.T, spec string) *Scenario {
+func chaosScenario(t *testing.T, spec string, opts ...ScenarioOption) *Scenario {
 	t.Helper()
 	wcfg := WorkloadConfig{
 		NumRequests:    24,
@@ -25,13 +31,13 @@ func chaosScenario(t *testing.T, spec string) *Scenario {
 		BurstStayProb:  0.7,
 		CUnit:          40,
 	}
-	s, err := NewScenario(
+	s, err := NewScenario(append([]ScenarioOption{
 		WithStations(20),
 		WithSeed(3),
 		WithWorkloadConfig(wcfg),
 		WithChaos(spec),
 		WithChaosSeed(101),
-	)
+	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +88,13 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosIncrementalWarmStateSurvivesFaults extends the matrix to the
-// incremental policy: warm-started solves must keep firing around injected
-// faults without ever poisoning the carried solver state. For each spec the
-// incremental run completes its horizon, stays within the documented 1e-6
-// warm-solve tolerance of the cold OL_GD run slot by slot, and replays
-// bit-identically — a fault that corrupted the carried basis, flow graph, or
-// potentials would show up as divergence on the post-fault slots.
+// TestChaosIncrementalWarmStateSurvivesFaults runs OL_GD — which carries its
+// network-simplex basis from slot to slot — under injected faults. A fault
+// that poisoned the carried basis would surface as a wrong slot optimum, so
+// every slot the flow rung solves must reach the LP objective the cold SSP
+// reference (flow.MinCostFlowWS) reaches on the same slot problem, within
+// 1e-9 relative. The run must also complete its horizon, actually warm-start,
+// and replay bit-identically.
 func TestChaosIncrementalWarmStateSurvivesFaults(t *testing.T) {
 	specs := map[string]string{
 		"outage":   "outage:0.3:2",
@@ -99,53 +105,166 @@ func TestChaosIncrementalWarmStateSurvivesFaults(t *testing.T) {
 		label, spec := label, spec
 		t.Run(label, func(t *testing.T) {
 			t.Parallel()
-			run := func(policy string) *Result {
-				s := chaosScenario(t, spec)
-				p, err := s.NewPolicy(policy)
+			run := func() (*Result, []obs.Event, *problemProbe) {
+				var buf bytes.Buffer
+				o := NewObserver(ObserverOptions{TraceWriter: &buf})
+				s := chaosScenario(t, spec, WithObserver(o))
+				p, err := s.NewPolicy("OL_GD")
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := s.Run(p)
+				probe := &problemProbe{Policy: p, problems: map[int]*caching.Problem{}}
+				res, err := s.Run(probe)
 				if err != nil {
-					t.Fatalf("%s under %q aborted: %v", policy, spec, err)
+					t.Fatalf("OL_GD under %q aborted: %v", spec, err)
 				}
-				return res
+				if err := o.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				events, err := obs.DecodeEvents(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, events, probe
 			}
-			inc := run("OL_GD/incremental")
-			if got := len(inc.PerSlotDelayMS); got != 12 {
+			res, events, probe := run()
+			if got := len(res.PerSlotDelayMS); got != 12 {
 				t.Fatalf("horizon truncated to %d slots", got)
 			}
-			if inc.FaultsInjected == 0 {
+			if res.FaultsInjected == 0 {
 				t.Fatal("no faults injected; the survival check is vacuous")
 			}
-			if inc.WarmSolves == 0 {
-				t.Error("no warm solves despite incremental policy")
+			if res.WarmSolves == 0 {
+				t.Error("OL_GD never warm-started")
 			}
-			cold := run("OL_GD")
-			for tt, d := range inc.PerSlotDelayMS {
-				if math.IsNaN(d) || math.IsInf(d, 0) {
-					t.Fatalf("slot %d delay %v not finite", tt, d)
+			checked := 0
+			for _, ev := range events {
+				if ev.Name != "olgd.decide" || ev.Fields["solver"] != "flow" {
+					continue
 				}
-				if diff := math.Abs(d - cold.PerSlotDelayMS[tt]); diff > 1e-6*(1+math.Abs(cold.PerSlotDelayMS[tt])) {
-					t.Errorf("slot %d: incremental %v vs cold %v beyond warm tolerance",
-						tt, d, cold.PerSlotDelayMS[tt])
+				got, ok := ev.Fields["lp_objective_ms"].(float64)
+				if !ok {
+					t.Fatalf("slot %d: decide event without lp_objective_ms: %+v", ev.Slot, ev)
 				}
+				want, err := coldSSPObjective(probe.problems[ev.Slot])
+				if err != nil {
+					t.Fatalf("slot %d: cold SSP reference: %v", ev.Slot, err)
+				}
+				if math.Abs(got-want) > 1e-9*math.Abs(want) {
+					t.Errorf("slot %d: LP objective %v, cold SSP %v", ev.Slot, got, want)
+				}
+				checked++
 			}
-			replay := run("OL_GD/incremental")
-			for tt, d := range inc.PerSlotDelayMS {
+			if checked == 0 {
+				t.Fatal("no slot was solved on the flow rung; the objective check is vacuous")
+			}
+			replay, _, _ := run()
+			for tt, d := range res.PerSlotDelayMS {
 				if replay.PerSlotDelayMS[tt] != d {
 					t.Fatalf("slot %d: replay %x != %x — warm state is nondeterministic under chaos",
 						tt, replay.PerSlotDelayMS[tt], d)
 				}
 			}
-			if replay.WarmSolves != inc.WarmSolves || replay.SkippedSolves != inc.SkippedSolves ||
-				replay.FallbackSolves != inc.FallbackSolves {
+			if replay.WarmSolves != res.WarmSolves || replay.SkippedSolves != res.SkippedSolves ||
+				replay.FallbackSolves != res.FallbackSolves {
 				t.Errorf("replay solve accounting diverged: warm %d/%d skip %d/%d fallback %d/%d",
-					replay.WarmSolves, inc.WarmSolves, replay.SkippedSolves, inc.SkippedSolves,
-					replay.FallbackSolves, inc.FallbackSolves)
+					replay.WarmSolves, res.WarmSolves, replay.SkippedSolves, res.SkippedSolves,
+					replay.FallbackSolves, res.FallbackSolves)
 			}
 		})
 	}
+}
+
+// problemProbe wraps a policy and keeps a deep copy of every slot problem as
+// the policy priced it (Decide fills in its delay estimates), keyed by slot.
+type problemProbe struct {
+	algorithms.Policy
+	problems map[int]*caching.Problem
+}
+
+func (p *problemProbe) SetObserver(o *obs.Observer) {
+	if s, ok := p.Policy.(algorithms.ObserverSetter); ok {
+		s.SetObserver(o)
+	}
+}
+
+func (p *problemProbe) Decide(view *algorithms.SlotView) (*caching.Assignment, error) {
+	a, err := p.Policy.Decide(view)
+	src := view.Problem
+	cp := *src
+	cp.Requests = append([]caching.RequestSpec(nil), src.Requests...)
+	cp.CapacityMHz = append([]float64(nil), src.CapacityMHz...)
+	cp.UnitDelayMS = append([]float64(nil), src.UnitDelayMS...)
+	cp.InstDelayMS = make([][]float64, len(src.InstDelayMS))
+	for i, row := range src.InstDelayMS {
+		cp.InstDelayMS[i] = append([]float64(nil), row...)
+	}
+	if src.AccessLatencyMS != nil {
+		cp.AccessLatencyMS = make([][]float64, len(src.AccessLatencyMS))
+		for l, row := range src.AccessLatencyMS {
+			cp.AccessLatencyMS[l] = append([]float64(nil), row...)
+		}
+	}
+	p.problems[view.T] = &cp
+	return a, err
+}
+
+// coldSSPObjective solves p's min-cost-flow lowering — source -> request
+// edges carrying rho_l*C_unit, request -> station edges priced per compute
+// unit with the instantiation delay amortised, station -> sink edges bounded
+// by capacity — with the cold SSP reference solver, and prices the resulting
+// fractional solution with the LP objective (3) (y = max x).
+func coldSSPObjective(p *caching.Problem) (float64, error) {
+	L, N := len(p.Requests), p.NumStations
+	g := flow.NewGraph(2 + L + N)
+	sink := 1 + L + N
+	ids := make([]int, L*N)
+	total := 0.0
+	for l, r := range p.Requests {
+		supply := r.Volume * p.CUnit
+		total += supply
+		if _, err := g.AddEdge(0, 1+l, supply, 0); err != nil {
+			return 0, err
+		}
+		for i := 0; i < N; i++ {
+			perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][r.Service]) / supply
+			id, err := g.AddEdge(1+l, 1+L+i, supply, perUnit)
+			if err != nil {
+				return 0, err
+			}
+			ids[l*N+i] = id
+		}
+	}
+	for i := 0; i < N; i++ {
+		if _, err := g.AddEdge(1+L+i, sink, p.CapacityMHz[i], 0); err != nil {
+			return 0, err
+		}
+	}
+	if _, err := g.MinCostFlowWS(0, sink, total, flow.NewWorkspace()); err != nil {
+		return 0, err
+	}
+	y := make([][]float64, p.NumServices)
+	for k := range y {
+		y[k] = make([]float64, N)
+	}
+	obj := 0.0
+	for l, r := range p.Requests {
+		supply := r.Volume * p.CUnit
+		for i := 0; i < N; i++ {
+			x := g.Flow(ids[l*N+i]) / supply
+			if x < 1e-12 {
+				continue
+			}
+			obj += x * p.AssignCost(l, i)
+			y[r.Service][i] = math.Max(y[r.Service][i], x)
+		}
+	}
+	for k := range y {
+		for i, v := range y[k] {
+			obj += v * p.InstDelayMS[i][k]
+		}
+	}
+	return obj / float64(L), nil
 }
 
 // TestChaosBlackoutDegradesEveryPolicy pins the headline acceptance case: a

@@ -109,8 +109,6 @@ func run(args []string, out io.Writer) error {
 		batch       = fs.Int("batch", 16, "max decide/observe requests coalesced per shard tick")
 		queue       = fs.Int("queue", 256, "per-shard pending-request bound (overflow → 429)")
 		policies    = fs.String("policy", "OL_GD", "comma-separated policy names, assigned to cells round-robin")
-		incremental = fs.Bool("incremental", false, "warm-start slot solves from the previous slot (upgrades OL_GD cells to OL_GD/incremental)")
-		flowEngine  = fs.String("flow-engine", "ssp", "min-cost-flow engine for OL_GD cells: ssp (successive shortest paths, default) or simplex (network simplex with a carried basis)")
 		stations    = fs.Int("stations", 30, "stations per cell's GT-ITM network")
 		seed        = fs.Int64("seed", 1, "base seed; cell i uses seed+i")
 		hidden      = fs.Bool("hidden", false, "hide true demands from policies (bursty volumes must be predicted)")
@@ -135,27 +133,9 @@ func run(args []string, out io.Writer) error {
 	if *cells <= 0 {
 		return fmt.Errorf("-cells %d: want at least 1", *cells)
 	}
-	switch *flowEngine {
-	case "ssp", "simplex":
-	default:
-		return fmt.Errorf("mecd: -flow-engine=%q (want ssp or simplex)", *flowEngine)
-	}
 	names := strings.Split(*policies, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
-		if *incremental && names[i] == "OL_GD" {
-			names[i] = "OL_GD/incremental"
-		}
-		// The engine swap composes with -incremental: OL_GD -> OL_GD/simplex,
-		// OL_GD/incremental -> OL_GD/incremental-simplex.
-		if *flowEngine == "simplex" {
-			switch names[i] {
-			case "OL_GD":
-				names[i] = "OL_GD/simplex"
-			case "OL_GD/incremental":
-				names[i] = "OL_GD/incremental-simplex"
-			}
-		}
 	}
 
 	cleanups := &cleanupStack{}

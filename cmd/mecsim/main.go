@@ -129,7 +129,6 @@ func run(args []string) error {
 		chaos       = fs.String("chaos", "", `fault-injection spec for -compare, e.g. "regional:0.05:3,feedback:0.1" (see README)`)
 		chaosSeed   = fs.Int64("chaos-seed", 0, "seed for chaos injectors (0 = derive from -seed)")
 		solveBudget = fs.Int("solve-budget", 0, "simplex iteration cap per slot solve (0 = unlimited); exhausted solves degrade to fallbacks")
-		flowEngine  = fs.String("flow-engine", "ssp", "min-cost-flow engine for OL_GD in -compare: ssp (default) or simplex (upgrades OL_GD to OL_GD/simplex, OL_GD/incremental to OL_GD/incremental-simplex)")
 
 		tracePath   = fs.String("trace", "", "write per-slot JSONL trace spans to this file")
 		metricsOut  = fs.String("metrics-out", "", "write the final metrics snapshot (JSON) to this file")
@@ -246,10 +245,6 @@ func run(args []string) error {
 		if names == "" {
 			// -chaos alone stress-tests the quickstart comparison.
 			names = "OL_GD,Greedy_GD,Pri_GD"
-		}
-		names, err := applyFlowEngine(names, *flowEngine)
-		if err != nil {
-			return err
 		}
 		results, runErr = runCompare(tableOut, names, compareOpts{
 			stations: *stations, topo: *topo, slots: *slots, seed: *seed,
@@ -440,30 +435,6 @@ type compareOpts struct {
 	chaos       string
 	chaosSeed   int64
 	solveBudget int
-}
-
-// applyFlowEngine rewrites a comma-separated policy list for the selected
-// min-cost-flow engine: with "simplex", OL_GD becomes OL_GD/simplex and
-// OL_GD/incremental becomes OL_GD/incremental-simplex; "ssp" leaves the list
-// untouched (the default engine).
-func applyFlowEngine(names, engine string) (string, error) {
-	switch engine {
-	case "ssp":
-		return names, nil
-	case "simplex":
-	default:
-		return "", fmt.Errorf("mecsim: -flow-engine=%q (want ssp or simplex)", engine)
-	}
-	parts := strings.Split(names, ",")
-	for i := range parts {
-		switch strings.TrimSpace(parts[i]) {
-		case "OL_GD":
-			parts[i] = "OL_GD/simplex"
-		case "OL_GD/incremental":
-			parts[i] = "OL_GD/incremental-simplex"
-		}
-	}
-	return strings.Join(parts, ","), nil
 }
 
 func runCompare(out io.Writer, names string, o compareOpts) ([]*l4e.Result, error) {

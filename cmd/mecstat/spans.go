@@ -13,10 +13,11 @@ import (
 )
 
 // runSpans is mecstat's -spans mode: it reads the request-scoped span trees
-// mecd -trace records (one root "req" span per request plus queue_wait /
-// batch_wait / solve / encode children sharing its trace ID) and prints a
-// per-stage latency-decomposition table — where each millisecond of the
-// end-to-end serving latency actually goes, per route and per solver tier.
+// mecd -trace records (one root "req" span per request plus ingest /
+// queue_wait / batch_wait / solve / reply / encode children sharing its trace
+// ID) and prints a per-stage latency-decomposition table — where each
+// millisecond of the end-to-end serving latency actually goes, per route and
+// per solver tier.
 func runSpans(out io.Writer, paths []string, jsonOut bool) error {
 	var events []obs.Event
 	for _, p := range paths {
@@ -82,7 +83,7 @@ type spanRouteAnalysis struct {
 	// SolveByTier splits the solve stage by degradation-ladder tier.
 	SolveByTier []spanStageStats `json:"solve_by_tier,omitempty"`
 	// SolveByMode splits the solve stage by incremental mode (cold / warm /
-	// skip), showing how often warm starts and optimality-certificate skips
+	// skip), showing how often warm starts and unchanged-slot skips
 	// actually fire end-to-end.
 	SolveByMode []spanStageStats `json:"solve_by_mode,omitempty"`
 	// Coverage is sum(stage totals)/e2e total: how much of the end-to-end
@@ -92,7 +93,7 @@ type spanRouteAnalysis struct {
 }
 
 // _stageOrder is the serving pipeline's stage order for rendering.
-var _stageOrder = []string{"queue_wait", "batch_wait", "solve", "reply", "encode"}
+var _stageOrder = []string{"ingest", "queue_wait", "batch_wait", "solve", "reply", "encode"}
 
 type spanAccum struct {
 	e2e    []float64

@@ -33,8 +33,8 @@ func driveRounds(t testing.TB, c *Cell, n int) []float64 {
 }
 
 // TestChaosKillAndRestoreMatrix is the durability acceptance matrix: under
-// every fault injector and for each of the paper's five policies (plus the
-// incremental warm-start variant), a run checkpointed at a pseudo-random
+// every fault injector and for each of the paper's five policies (the OL_GD
+// family carrying warm solver state across slots), a run checkpointed at a pseudo-random
 // slot and restored into a fresh process continues bit-identically — same
 // per-slot delays, same final state digest (which covers bandit arm pulls,
 // predictor weights, fault counters, and the RNG cursor) — as the run that
@@ -46,8 +46,7 @@ func TestChaosKillAndRestoreMatrix(t *testing.T) {
 		{"feedback", "feedback:0.3:0.3"},
 		{"combined", "regional:0.2:2,feedback:0.2:0.1,spike:0.2:3:2"},
 	}
-	policies := append(append([]string{}, chaosMatrixPolicies...),
-		"OL_GD/incremental", "OL_GD/incremental-simplex")
+	policies := chaosMatrixPolicies
 	for si, sp := range specs {
 		si, sp := si, sp
 		t.Run(sp.label, func(t *testing.T) {
@@ -132,7 +131,7 @@ func TestSimplexWarmResumeDeterministic(t *testing.T) {
 			t.Parallel()
 			for _, kill := range []int{3, 7} {
 				ref := chaosScenario(t, sp.spec)
-				refCell, err := ref.NewCell("OL_GD/incremental-simplex")
+				refCell, err := ref.NewCell("OL_GD")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +150,7 @@ func TestSimplexWarmResumeDeterministic(t *testing.T) {
 				}
 
 				got := chaosScenario(t, sp.spec)
-				gotCell, err := got.NewCell("OL_GD/incremental-simplex")
+				gotCell, err := got.NewCell("OL_GD")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,8 +184,8 @@ func TestSimplexWarmResumeDeterministic(t *testing.T) {
 	}
 }
 
-// durableServer builds a one-cell incremental decision server over dir and
-// waits for recovery. The incremental policy is the hard case: its carried
+// durableServer builds a one-cell OL_GD decision server over dir and waits
+// for recovery. The warm-started policy is the hard case: its carried
 // solver state makes every checkpoint a warm-state barrier the replay must
 // reproduce exactly.
 func durableServer(t *testing.T, dir string, o *Observer) *DecisionServer {
@@ -195,7 +194,7 @@ func durableServer(t *testing.T, dir string, o *Observer) *DecisionServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := scn.NewCell("OL_GD/incremental")
+	cell, err := scn.NewCell("OL_GD")
 	if err != nil {
 		t.Fatal(err)
 	}

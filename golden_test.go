@@ -41,11 +41,8 @@ type goldenFile struct {
 
 func fullPrec(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// goldenPolicies are the five paper policies the regression pin covers, plus
-// OL_GD on the network-simplex flow engine: both engines reach the same LP
-// optimum, so its row pins engine-equivalence end to end — simplex drift
-// shows up here as a diff against the OL_GD row, not just a failed unit test.
-var goldenPolicies = []string{"OL_GD", "Greedy_GD", "Pri_GD", "OL_Reg", "OL_GAN", "OL_GD/simplex"}
+// goldenPolicies are the five paper policies the regression pin covers.
+var goldenPolicies = []string{"OL_GD", "Greedy_GD", "Pri_GD", "OL_Reg", "OL_GAN"}
 
 const goldenPath = "testdata/golden_scenario.json"
 

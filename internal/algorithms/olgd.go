@@ -40,23 +40,12 @@ type OLGDConfig struct {
 	// used by ablation variants.
 	Name string
 	// FreshSolves disables the per-policy solver workspace, allocating all
-	// solver state anew each slot. The reference ablation for the paired-seed
-	// determinism test: results are bit-identical either way, only the
-	// allocation profile differs.
+	// solver state anew each slot, so every slot solves cold. The reference
+	// ablation for the warm-start determinism test: without it, the
+	// workspace carries the solver basis across slots
+	// (caching.Workspace.EnableIncremental), which reaches the same LP
+	// optimum but may pick a different optimal vertex where there are ties.
 	FreshSolves bool
-	// Incremental opts the solver workspace into cross-slot incremental
-	// solving (caching.Workspace.EnableIncremental): unchanged slots are
-	// skipped, cost drift warm-starts from the previous basis or repairs the
-	// carried flow. Warm results agree with cold within solver tolerance, not
-	// bit-for-bit, so this is an explicit opt-in rather than the default.
-	// Incompatible with FreshSolves (there is no state to carry).
-	Incremental bool
-	// FlowEngine selects the min-cost-flow algorithm behind the solver
-	// ladder's flow rung ("" or caching.FlowEngineSSP = successive shortest
-	// paths, caching.FlowEngineSimplex = network simplex with a carried
-	// basis). Requires a persistent workspace, so it is incompatible with
-	// FreshSolves.
-	FlowEngine caching.FlowEngine
 }
 
 // DefaultOLGDConfig uses the decaying epsilon_t = c/t schedule with c = 1/4.
@@ -88,8 +77,9 @@ type OLGD struct {
 	src      *persist.CountingSource
 	name     string
 	observer *obs.Observer
-	// ws carries solver state (graph/tableau/scratch) across slots; nil when
-	// cfg.FreshSolves asks for the allocate-per-slot reference behaviour.
+	// ws carries solver state (graph/tableau/basis) across slots in
+	// incremental mode; nil when cfg.FreshSolves asks for the
+	// allocate-per-slot, cold-solve reference behaviour.
 	ws *caching.Workspace
 	// lastEps/lastExplored snapshot the most recent Decide's epsilon_t-greedy
 	// branch for BanditState (the flight recorder reads it once per slot).
@@ -129,18 +119,9 @@ func NewOLGD(cfg OLGDConfig) (*OLGD, error) {
 		src:  src,
 		name: name,
 	}
-	if cfg.Incremental && cfg.FreshSolves {
-		return nil, fmt.Errorf("algorithms: OLGD Incremental requires a persistent workspace (FreshSolves is set)")
-	}
-	if cfg.FlowEngine != "" && cfg.FreshSolves {
-		return nil, fmt.Errorf("algorithms: OLGD FlowEngine requires a persistent workspace (FreshSolves is set)")
-	}
 	if !cfg.FreshSolves {
 		o.ws = caching.NewWorkspace()
-		o.ws.EnableIncremental(cfg.Incremental)
-		if err := o.ws.SetFlowEngine(cfg.FlowEngine); err != nil {
-			return nil, fmt.Errorf("algorithms: OLGD: %w", err)
-		}
+		o.ws.EnableIncremental(true)
 	}
 	return o, nil
 }

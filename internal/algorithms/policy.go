@@ -67,13 +67,10 @@ type DegradeReport struct {
 	// WarmSolve reports the slot's relaxation warm-started from the previous
 	// slot's optimisation state (incremental mode).
 	WarmSolve bool
-	// SkippedSolve reports the slot's relaxation was skipped outright —
-	// either bit-identical inputs or a reduced-cost certificate
+	// SkippedSolve reports the slot's relaxation was skipped outright
+	// because its inputs were bit-identical to the previous slot's
 	// (incremental mode).
 	SkippedSolve bool
-	// ReroutedRequests counts requests the incremental flow repair evicted
-	// and re-routed instead of re-solving the whole slot.
-	ReroutedRequests int
 }
 
 // reportSolve folds a solve's ladder statistics into the slot's report.
@@ -88,7 +85,6 @@ func (v *SlotView) reportSolve(stats caching.SolveStats) {
 	v.Degrade.Solver = stats.Solver
 	v.Degrade.WarmSolve = stats.WarmStarted
 	v.Degrade.SkippedSolve = stats.Skipped
-	v.Degrade.ReroutedRequests += stats.Rerouted
 }
 
 // reportShed folds shed-request counts into the slot's report.
@@ -198,8 +194,8 @@ func recordSolve(o *obs.Observer, policy string, stats caching.SolveStats) {
 	}
 	if stats.WarmStarted {
 		o.Inc("flow.warm_starts")
-		// Incremental-mode economics: basis reuse on the simplex, carried-flow
-		// repair on the flow backend.
+		// Incremental-mode economics: basis reuse on the exact backend's
+		// simplex and on the flow backend's network simplex.
 		switch stats.Solver {
 		case caching.SolverSimplex:
 			o.Inc("lp.warm_hits")
@@ -212,9 +208,6 @@ func recordSolve(o *obs.Observer, policy string, stats caching.SolveStats) {
 	}
 	if stats.Skipped {
 		o.IncL("solve.skips", obs.L("reason", stats.SkipReason)...)
-	}
-	if stats.Rerouted > 0 {
-		o.Add("flow.rerouted_requests", int64(stats.Rerouted))
 	}
 	// Network-simplex engine economics: basis exchanges per solve and how
 	// often the carried basis had to be rebuilt from scratch.

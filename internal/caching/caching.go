@@ -9,8 +9,9 @@
 //
 // The package lowers the LP relaxation to either the exact simplex solver in
 // internal/lp (small instances; also the test oracle) or a min-cost-flow
-// reformulation in internal/flow (experiment scale), extracts the candidate
-// base-station sets of Eq. (9), and evaluates integral assignments.
+// reformulation solved by the network simplex in internal/flow (experiment
+// scale), extracts the candidate base-station sets of Eq. (9), and evaluates
+// integral assignments.
 //
 // Beyond the paper's objective, an optional known access-latency term
 // lat(reg(l), i) can be added to the per-assignment cost; it models the
@@ -156,7 +157,7 @@ type SolveStats struct {
 	// Solver is the backend that produced the solution.
 	Solver SolverKind
 	// Iterations is the backend's unit of work: simplex pivots (both
-	// phases) or flow augmentations.
+	// phases on the exact backend, basis exchanges on the flow backend).
 	Iterations int
 	// Phase1Iterations is the simplex feasibility pivots (0 for flow).
 	Phase1Iterations int
@@ -169,30 +170,23 @@ type SolveStats struct {
 	WorkspaceReused bool
 	// WarmStarted reports the solve reused optimisation state from the
 	// previous slot instead of starting from scratch: the previous optimal
-	// basis on the simplex backend, or the carried flow (re-routing only the
-	// changed demand delta) on the flow backend. Requires
-	// Workspace.EnableIncremental; warm results agree with cold solves within
-	// the solver tolerance, not bit-for-bit.
+	// basis on the exact backend, or the carried spanning-tree basis on the
+	// flow backend. Requires Workspace.EnableIncremental; warm results agree
+	// with cold solves within the solver tolerance, not bit-for-bit.
 	WarmStarted bool
-	// WarmFallback reports an incremental warm/repair attempt was abandoned
+	// WarmFallback reports an incremental warm-start attempt was abandoned
 	// (shape change, stale state, numerical trouble) and this result came
 	// from the cold rebuild that replaced it.
 	WarmFallback bool
 	// Skipped reports the solve was skipped outright and the previous slot's
-	// solution returned: either every input was bit-identical ("unchanged" —
-	// the result is exactly what a cold solve would produce) or a reduced-
-	// cost check certified the previous flow still optimal under the new
-	// costs ("certificate"). Requires Workspace.EnableIncremental.
+	// solution returned because every input was bit-identical — the result is
+	// exactly what a cold solve would produce. Requires
+	// Workspace.EnableIncremental.
 	Skipped bool
-	// SkipReason is "unchanged" or "certificate" when Skipped is set.
+	// SkipReason is "unchanged" when Skipped is set.
 	SkipReason string
-	// Rerouted counts the requests whose changed demand the flow repair path
-	// evicted and re-routed (WarmStarted, flow backend).
-	Rerouted int
-	// Pivots is the network-simplex basis-exchange count (flow backend with
-	// FlowEngineSimplex; 0 otherwise). The per-slot analogue of Iterations'
-	// SSP augmentations, surfaced separately so the pivots-vs-phases win is
-	// measurable.
+	// Pivots is the network-simplex basis-exchange count (flow backend; 0
+	// otherwise).
 	Pivots int
 	// BasisRebuilt reports the simplex solve built a fresh spanning-tree basis
 	// instead of re-optimising the carried one (always true on cold solves;
@@ -239,22 +233,6 @@ func (a *Assignment) Instances(p *Problem) map[[2]int]bool {
 	return out
 }
 
-// FlowEngine selects the algorithm SolveLPFlowWS runs on the lowered
-// min-cost-flow instance. Both engines solve the identical relaxation to the
-// identical optimal cost; they differ in how they re-optimise across slots.
-type FlowEngine string
-
-const (
-	// FlowEngineSSP is successive shortest paths (flow.MinCostFlowWS and its
-	// incremental resume/restart variants) — the default, one Dijkstra per
-	// augmenting-path cost.
-	FlowEngineSSP FlowEngine = "ssp"
-	// FlowEngineSimplex is the primal network simplex
-	// (flow.MinCostFlowSimplexWS): a spanning-tree basis carried across slots,
-	// so a drifting instance re-optimises in a handful of pivots.
-	FlowEngineSimplex FlowEngine = "simplex"
-)
-
 // _exactVarLimit bounds the |R|*|BS| product for which the dense simplex is
 // used; beyond it SolveLP switches to the flow reformulation. The dense
 // tableau costs O((L+N+LN)^2) memory and cubic-ish pivoting time, so only
@@ -269,25 +247,24 @@ const _zeroCapOverload = 100
 
 // Workspace carries solver state across per-slot solves so the hot decide
 // path stops allocating: the lowered LP problem and simplex tableau (exact
-// backend), the flow graph, its edge handles, and the Dijkstra scratch (flow
-// backend), plus the X/Y result matrices. When consecutive solves share a
-// shape — same request count, stations, and (for the exact path) per-request
-// service pattern — the lowered instance is rewritten in place instead of
-// rebuilt, reported via SolveStats.WorkspaceReused.
+// backend), the flow graph, its edge handles, and the network-simplex basis
+// (flow backend), plus the X/Y result matrices. When consecutive solves share
+// a shape — same request count, stations, and (for the exact path)
+// per-request service pattern — the lowered instance is rewritten in place
+// instead of rebuilt, reported via SolveStats.WorkspaceReused.
 //
 // A Workspace is not safe for concurrent use, and the Fractional returned by
 // the *WS solvers aliases workspace memory: it is valid only until the next
 // solve on the same workspace.
 type Workspace struct {
 	// Flow backend state.
-	flowEngine FlowEngine // "" = FlowEngineSSP
-	flowWS     *flow.Workspace
-	graph      *flow.Graph
-	graphL     int
-	graphN     int
-	srcIDs     []int // src -> request edge handle per request
-	asgIDs     []int // request -> station edge handles, flattened l*N+i
-	sinkIDs    []int // station -> sink edge handle per station
+	flowWS  *flow.Workspace
+	graph   *flow.Graph
+	graphL  int
+	graphN  int
+	srcIDs  []int // src -> request edge handle per request
+	asgIDs  []int // request -> station edge handles, flattened l*N+i
+	sinkIDs []int // station -> sink edge handle per station
 
 	// Exact (simplex) backend state.
 	lpWS       *lp.Workspace
@@ -304,8 +281,7 @@ type Workspace struct {
 	yBack []float64
 
 	// Incremental-mode state (EnableIncremental): a snapshot of the inputs
-	// of the last successful solve. It gates the unchanged-slot skip, the
-	// flow-repair eviction set, and the certificate check.
+	// of the last successful solve. It gates the unchanged-slot skip.
 	incremental   bool
 	prevKind      SolverKind // backend of the last successful solve ("" = none)
 	prevObjective float64
@@ -316,7 +292,6 @@ type Workspace struct {
 	prevBudget    int
 	prevServices  []int
 	prevVolumes   []float64
-	prevSupply    []float64 // volume*CUnit per request, the flow eviction key
 	prevDelays    []float64
 	prevCaps      []float64
 	prevInst      []float64 // flattened [i*K+k]
@@ -330,15 +305,15 @@ func NewWorkspace() *Workspace {
 }
 
 // EnableIncremental opts this workspace into cross-slot incremental solving:
-// unchanged slots return the cached solution, cost/RHS drift re-solves from
-// the previous optimal basis (simplex) or repairs the carried flow by
-// re-routing only the changed demand (flow), and a reduced-cost certificate
-// skips quiet-slot flow solves outright. Every incremental path falls back to
-// a cold rebuild when its preconditions fail, so results are always valid;
-// warm results agree with cold solves within the solver tolerance rather than
-// bit-for-bit (the unchanged-slot skip alone is bit-identical). Off by
-// default, which keeps the *WS solvers bit-identical to their fresh-solve
-// counterparts.
+// unchanged slots return the cached solution, and any other slot re-solves
+// from the previous optimal basis — the dense simplex's on the exact backend,
+// the network simplex's spanning tree on the flow backend. Every incremental
+// path falls back to a cold rebuild when its preconditions fail, so results
+// are always valid. A warm solve reaches the same optimal objective as a cold
+// one within the solver tolerance; where the LP has several optima it may
+// pick a different one (the unchanged-slot skip alone is bit-identical). Off
+// by default, which keeps the *WS solvers bit-identical to their fresh-solve
+// counterparts. The OL_GD family of policies always turns it on.
 func (ws *Workspace) EnableIncremental(on bool) {
 	ws.incremental = on
 	ws.lpWS.EnableWarmStart(on)
@@ -349,29 +324,6 @@ func (ws *Workspace) EnableIncremental(on bool) {
 
 // Incremental reports whether EnableIncremental is on.
 func (ws *Workspace) Incremental() bool { return ws.incremental }
-
-// SetFlowEngine selects the algorithm behind SolveLPFlowWS on this workspace.
-// The empty string means FlowEngineSSP (the default). Switching engines
-// mid-stream is safe: each engine carries its own warm state and falls back
-// to a cold solve when that state is missing or stale.
-func (ws *Workspace) SetFlowEngine(e FlowEngine) error {
-	switch e {
-	case "", FlowEngineSSP, FlowEngineSimplex:
-		ws.flowEngine = e
-		return nil
-	default:
-		return fmt.Errorf("caching: unknown flow engine %q (want %q or %q)",
-			e, FlowEngineSSP, FlowEngineSimplex)
-	}
-}
-
-// GetFlowEngine reports the engine SolveLPFlowWS will use.
-func (ws *Workspace) GetFlowEngine() FlowEngine {
-	if ws.flowEngine == "" {
-		return FlowEngineSSP
-	}
-	return ws.flowEngine
-}
 
 // ResetWarm drops all cross-slot incremental carryover — the cached
 // problem fingerprint/solution and the simplex basis — without changing
@@ -399,11 +351,9 @@ func (ws *Workspace) noteSolved(p *Problem, kind SolverKind, objective float64) 
 	ws.prevCUnit, ws.prevBudget = p.CUnit, p.SolveBudget
 	ws.prevServices = growIDs(ws.prevServices, L)
 	ws.prevVolumes = growVals(ws.prevVolumes, L)
-	ws.prevSupply = growVals(ws.prevSupply, L)
 	for l, r := range p.Requests {
 		ws.prevServices[l] = r.Service
 		ws.prevVolumes[l] = r.Volume
-		ws.prevSupply[l] = r.Volume * p.CUnit
 	}
 	ws.prevDelays = growVals(ws.prevDelays, N)
 	copy(ws.prevDelays, p.UnitDelayMS)
@@ -701,10 +651,15 @@ func (p *Problem) SolveLPFlow() (*Fractional, error) {
 	return p.SolveLPFlowWS(nil)
 }
 
-// SolveLPFlowWS is SolveLPFlow with a reusable workspace. The graph topology
-// depends only on (L, N), so when consecutive solves match, every edge is
-// rewritten in place via flow.Graph.SetEdge — no node or adjacency rebuild —
-// and the Dijkstra scratch comes from the embedded flow.Workspace.
+// SolveLPFlowWS is SolveLPFlow with a reusable workspace, solved by the
+// network simplex (flow.MinCostFlowSimplexWS). The graph topology depends
+// only on (L, N), so when consecutive solves match, every edge is rewritten
+// in place via flow.Graph.SetEdge — no node or adjacency rebuild. In
+// incremental mode an unchanged slot skips outright, and any changed slot
+// re-optimises the spanning-tree basis carried from the previous solve
+// (flow.MinCostFlowSimplexWarmWS), which handles its own staleness: a
+// topology change or unusable restored tree falls back to a cold basis
+// rebuild internally, reported via Stats.BasisRebuilt.
 func (p *Problem) SolveLPFlowWS(ws *Workspace) (*Fractional, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -712,143 +667,6 @@ func (p *Problem) SolveLPFlowWS(ws *Workspace) (*Fractional, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	if ws.GetFlowEngine() == FlowEngineSimplex {
-		return p.solveLPFlowSimplexWS(ws)
-	}
-	L, N, K := len(p.Requests), p.NumStations, p.NumServices
-
-	src := 0
-	sink := 1 + L + N
-
-	warmFellBack := false
-	if ws.incremental && ws.prevKind == SolverFlow && ws.graph != nil &&
-		ws.graphL == L && ws.graphN == N {
-		if frac, ok := p.tryFlowRepair(ws); ok {
-			return frac, nil
-		}
-		// The repair attempt left the graph partially updated; the cold path
-		// below rewrites every edge (zeroing flows), restoring consistency.
-		warmFellBack = true
-	}
-	ws.prevKind = ""
-
-	g, totalSupply, reused, err := p.lowerFlowGraph(ws)
-	if err != nil {
-		return nil, err
-	}
-
-	flowRes, err := g.MinCostFlowWS(src, sink, totalSupply, ws.flowWS)
-	if err != nil {
-		return nil, fmt.Errorf("caching: flow relaxation (capacity %v < demand %v?): %w",
-			sum(p.CapacityMHz), totalSupply, err)
-	}
-
-	frac := ws.result(L, N, K)
-	frac.Stats = SolveStats{
-		Solver:          SolverFlow,
-		Iterations:      flowRes.Augmentations,
-		Variables:       L * N,
-		Constraints:     L + N,
-		WorkspaceReused: reused,
-		WarmStarted:     flowRes.WarmStarted,
-		WarmFallback:    warmFellBack,
-	}
-	p.extractFlow(ws, frac)
-	// Recompute the objective in LP terms (y = max x, not amortised).
-	frac.Objective = p.fracObjective(frac)
-	ws.noteSolved(p, SolverFlow, frac.Objective)
-	return frac, nil
-}
-
-// lowerFlowGraph builds (or, when the cached topology matches, rewrites in
-// place) the min-cost-flow lowering of p on the workspace graph: source ->
-// request edges carrying rho_l*C_unit, request -> station edges priced per
-// compute unit, station -> sink edges bounded by capacity. Both flow engines
-// consume the identical lowering.
-func (p *Problem) lowerFlowGraph(ws *Workspace) (g *flow.Graph, totalSupply float64, reused bool, err error) {
-	L, N := len(p.Requests), p.NumStations
-	src := 0
-	sink := 1 + L + N
-	reqNode := func(l int) int { return 1 + l }
-	bsNode := func(i int) int { return 1 + L + i }
-
-	reused = ws.graph != nil && ws.graphL == L && ws.graphN == N
-	g = ws.graph
-	if reused {
-		// Same topology: rewrite capacities and costs on the recorded edge
-		// handles (SetEdge also zeroes the carried flow).
-		for l := 0; l < L; l++ {
-			supply := p.Requests[l].Volume * p.CUnit
-			totalSupply += supply
-			if err := g.SetEdge(ws.srcIDs[l], supply, 0); err != nil {
-				return nil, 0, false, err
-			}
-			k := p.Requests[l].Service
-			for i := 0; i < N; i++ {
-				// Cost per compute unit so a full assignment costs
-				// AssignCost + amortised instantiation.
-				perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][k]) / supply
-				if err := g.SetEdge(ws.asgIDs[l*N+i], supply, perUnit); err != nil {
-					return nil, 0, false, err
-				}
-			}
-		}
-		for i := 0; i < N; i++ {
-			if err := g.SetEdge(ws.sinkIDs[i], p.CapacityMHz[i], 0); err != nil {
-				return nil, 0, false, err
-			}
-		}
-	} else {
-		if g == nil {
-			g = flow.NewGraph(2 + L + N)
-			ws.graph = g
-		} else {
-			g.Reset(2 + L + N)
-		}
-		ws.srcIDs = growIDs(ws.srcIDs, L)
-		ws.asgIDs = growIDs(ws.asgIDs, L*N)
-		ws.sinkIDs = growIDs(ws.sinkIDs, N)
-		for l := 0; l < L; l++ {
-			supply := p.Requests[l].Volume * p.CUnit
-			totalSupply += supply
-			id, err := g.AddEdge(src, reqNode(l), supply, 0)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			ws.srcIDs[l] = id
-			k := p.Requests[l].Service
-			for i := 0; i < N; i++ {
-				// Cost per compute unit so a full assignment costs
-				// AssignCost + amortised instantiation.
-				perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][k]) / supply
-				id, err := g.AddEdge(reqNode(l), bsNode(i), supply, perUnit)
-				if err != nil {
-					return nil, 0, false, err
-				}
-				ws.asgIDs[l*N+i] = id
-			}
-		}
-		for i := 0; i < N; i++ {
-			id, err := g.AddEdge(bsNode(i), sink, p.CapacityMHz[i], 0)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			ws.sinkIDs[i] = id
-		}
-		ws.graphL, ws.graphN = L, N
-	}
-	return g, totalSupply, reused, nil
-}
-
-// solveLPFlowSimplexWS is SolveLPFlowWS on the network-simplex engine. The
-// lowering is identical to the SSP path; what differs is the cross-slot warm
-// state — a spanning-tree basis instead of carried flow plus potentials. In
-// incremental mode an unchanged slot still skips outright, and any changed
-// slot re-optimises the carried basis (flow.MinCostFlowSimplexWarmWS), which
-// handles its own staleness: a topology change or unusable restored tree
-// falls back to a cold basis rebuild internally, reported via
-// Stats.BasisRebuilt.
-func (p *Problem) solveLPFlowSimplexWS(ws *Workspace) (*Fractional, error) {
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
 	src, sink := 0, 1+L+N
 
@@ -891,9 +709,90 @@ func (p *Problem) solveLPFlowSimplexWS(ws *Workspace) (*Fractional, error) {
 		WarmFallback:    warmEligible && !flowRes.WarmStarted,
 	}
 	p.extractFlow(ws, frac)
+	// Recompute the objective in LP terms (y = max x, not amortised).
 	frac.Objective = p.fracObjective(frac)
 	ws.noteSolved(p, SolverFlow, frac.Objective)
 	return frac, nil
+}
+
+// lowerFlowGraph builds (or, when the cached topology matches, rewrites in
+// place) the min-cost-flow lowering of p on the workspace graph: source ->
+// request edges carrying rho_l*C_unit, request -> station edges priced per
+// compute unit, station -> sink edges bounded by capacity.
+func (p *Problem) lowerFlowGraph(ws *Workspace) (g *flow.Graph, totalSupply float64, reused bool, err error) {
+	L, N := len(p.Requests), p.NumStations
+	src := 0
+	sink := 1 + L + N
+	reqNode := func(l int) int { return 1 + l }
+	bsNode := func(i int) int { return 1 + L + i }
+
+	reused = ws.graph != nil && ws.graphL == L && ws.graphN == N
+	g = ws.graph
+	if reused {
+		// Same topology: rewrite capacities and costs on the recorded edge
+		// handles (SetEdge also zeroes the carried flow).
+		for l := 0; l < L; l++ {
+			supply := p.Requests[l].Volume * p.CUnit
+			totalSupply += supply
+			if err := g.SetEdge(ws.srcIDs[l], supply, 0); err != nil {
+				return nil, 0, false, err
+			}
+			k := p.Requests[l].Service
+			for i := 0; i < N; i++ {
+				// Cost per compute unit so a full assignment costs
+				// AssignCost + amortised instantiation.
+				perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][k]) / supply
+				if err := g.SetEdge(ws.asgIDs[l*N+i], supply, perUnit); err != nil {
+					return nil, 0, false, err
+				}
+			}
+		}
+		for i := 0; i < N; i++ {
+			if err := g.SetEdge(ws.sinkIDs[i], p.CapacityMHz[i], 0); err != nil {
+				return nil, 0, false, err
+			}
+		}
+	} else {
+		if g == nil {
+			g = flow.NewGraph(2 + L + N)
+			ws.graph = g
+		} else {
+			g.Reset(2 + L + N)
+		}
+		g.Grow(L + L*N + N)
+		ws.srcIDs = growIDs(ws.srcIDs, L)
+		ws.asgIDs = growIDs(ws.asgIDs, L*N)
+		ws.sinkIDs = growIDs(ws.sinkIDs, N)
+		for l := 0; l < L; l++ {
+			supply := p.Requests[l].Volume * p.CUnit
+			totalSupply += supply
+			id, err := g.AddEdge(src, reqNode(l), supply, 0)
+			if err != nil {
+				return nil, 0, false, err
+			}
+			ws.srcIDs[l] = id
+			k := p.Requests[l].Service
+			for i := 0; i < N; i++ {
+				// Cost per compute unit so a full assignment costs
+				// AssignCost + amortised instantiation.
+				perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][k]) / supply
+				id, err := g.AddEdge(reqNode(l), bsNode(i), supply, perUnit)
+				if err != nil {
+					return nil, 0, false, err
+				}
+				ws.asgIDs[l*N+i] = id
+			}
+		}
+		for i := 0; i < N; i++ {
+			id, err := g.AddEdge(bsNode(i), sink, p.CapacityMHz[i], 0)
+			if err != nil {
+				return nil, 0, false, err
+			}
+			ws.sinkIDs[i] = id
+		}
+		ws.graphL, ws.graphN = L, N
+	}
+	return g, totalSupply, reused, nil
 }
 
 // extractFlow lifts the graph's carried flow into X (fraction of request l at
@@ -914,199 +813,6 @@ func (p *Problem) extractFlow(ws *Workspace, frac *Fractional) {
 			}
 		}
 	}
-}
-
-// tryFlowRepair is the incremental flow path: skip the solve outright when the
-// slot is bit-identical to the previous one or a reduced-cost certificate
-// proves the carried flow still optimal, otherwise adjust only the demand
-// deltas — shrunken requests shed just their excess, grown requests keep their
-// carried routing — and resume the solver from the repaired flow
-// (flow.MinCostFlowResumeWS). Returns ok=false when the carried state cannot
-// be used — shape drift, a capacity now below its carried flow, repair budget
-// exhausted — and the caller falls back to the cold rebuild, which rewrites
-// every edge and so discards whatever this attempt touched.
-func (p *Problem) tryFlowRepair(ws *Workspace) (*Fractional, bool) {
-	L, N, K := len(p.Requests), p.NumStations, p.NumServices
-	if ws.unchangedSince(p) {
-		return ws.skippedResult(SolverFlow, "unchanged", L*N, L+N), true
-	}
-	if ws.prevL != L || ws.prevN != N || ws.prevCUnit != p.CUnit {
-		return nil, false
-	}
-	g := ws.graph
-	// The carried state is consumed from here on: any bail-out below leaves
-	// the graph partially updated, so the snapshot must not survive it.
-	ws.prevKind = ""
-	src, sink := 0, 1+L+N
-
-	rerouted := 0
-	costMoved := 0
-	totalSupply := 0.0
-	for l := 0; l < L; l++ {
-		supply := p.Requests[l].Volume * p.CUnit
-		totalSupply += supply
-		if supply != ws.prevSupply[l] {
-			rerouted++
-			k := p.Requests[l].Service
-			if f := g.Flow(ws.srcIDs[l]); f > supply {
-				// Demand shrank: shed only the excess, costliest stations
-				// first, so the bulk of the carried routing survives. A grown
-				// demand keeps its routing untouched — the resume augments
-				// just the missing delta.
-				excess := f - supply
-				for excess > 1e-12 {
-					best, bestCost := -1, math.Inf(-1)
-					for i := 0; i < N; i++ {
-						if g.Flow(ws.asgIDs[l*N+i]) <= 1e-12 {
-							continue
-						}
-						if c := p.AssignCost(l, i) + p.InstDelayMS[i][k]; c > bestCost {
-							best, bestCost = i, c
-						}
-					}
-					if best < 0 {
-						return nil, false
-					}
-					d := math.Min(excess, g.Flow(ws.asgIDs[l*N+best]))
-					if g.Drain(ws.asgIDs[l*N+best], d) != nil ||
-						g.Drain(ws.sinkIDs[best], d) != nil ||
-						g.Drain(ws.srcIDs[l], d) != nil {
-						return nil, false
-					}
-					excess -= d
-				}
-			}
-			if g.UpdateEdge(ws.srcIDs[l], supply, 0) != nil {
-				return nil, false
-			}
-		}
-		k := p.Requests[l].Service
-		for i := 0; i < N; i++ {
-			perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][k]) / supply
-			if perUnit != g.Cost(ws.asgIDs[l*N+i]) {
-				costMoved++
-			}
-			if g.UpdateEdge(ws.asgIDs[l*N+i], supply, perUnit) != nil {
-				return nil, false
-			}
-		}
-	}
-	for i := 0; i < N; i++ {
-		// A capacity now below its carried flow errors out → cold solve.
-		if g.UpdateEdge(ws.sinkIDs[i], p.CapacityMHz[i], 0) != nil {
-			return nil, false
-		}
-	}
-
-	if rerouted == 0 {
-		carried := 0.0
-		for l := 0; l < L; l++ {
-			carried += g.Flow(ws.srcIDs[l])
-		}
-		if math.Abs(carried-totalSupply) <= 1e-9*(1+totalSupply) &&
-			g.CertifyOptimal(ws.flowWS) {
-			// Cost-only drift and every residual reduced cost stayed
-			// non-negative: the carried flow is provably still optimal, so no
-			// solve runs at all. X/Y come out bit-identical to the cached
-			// solution; only the objective is repriced under the new costs.
-			frac := ws.result(L, N, K)
-			p.extractFlow(ws, frac)
-			frac.Objective = p.fracObjective(frac)
-			frac.Stats = SolveStats{
-				Solver:          SolverFlow,
-				Variables:       L * N,
-				Constraints:     L + N,
-				WorkspaceReused: true,
-				Skipped:         true,
-				SkipReason:      "certificate",
-			}
-			ws.noteSolved(p, SolverFlow, frac.Objective)
-			return frac, true
-		}
-	}
-
-	// Dense cost drift — bandit delay estimates shift every station a little
-	// every slot — would need roughly one negative-cycle cancellation per
-	// moved edge to repair the carried flow in place, which costs more than
-	// re-routing. Re-route from zero flow under the carried potentials
-	// instead: still a warm solve, with the duals doing the work rather than
-	// the carried primal.
-	if costMoved > L*N/8 {
-		return p.flowRestart(ws)
-	}
-
-	res, err := g.MinCostFlowResumeWS(src, sink, totalSupply, ws.flowWS)
-	if err != nil {
-		return nil, false
-	}
-	frac := ws.result(L, N, K)
-	p.extractFlow(ws, frac)
-	frac.Objective = p.fracObjective(frac)
-	frac.Stats = SolveStats{
-		Solver:          SolverFlow,
-		Iterations:      res.Augmentations,
-		Variables:       L * N,
-		Constraints:     L + N,
-		WorkspaceReused: true,
-		WarmStarted:     true,
-		Rerouted:        rerouted,
-	}
-	ws.noteSolved(p, SolverFlow, frac.Objective)
-	return frac, true
-}
-
-// flowRestart is the dense-cost-drift branch of the incremental flow path:
-// zero the carried flow, rewrite every edge in place, and re-solve with the
-// carried potentials as the dual warm start (flow.MinCostFlowRestartWS, whose
-// sink-early-exit Dijkstras they accelerate). Returns ok=false when the
-// rewrite or solve fails; the graph is left with zeroed flows, which the cold
-// rebuild overwrites wholesale.
-func (p *Problem) flowRestart(ws *Workspace) (*Fractional, bool) {
-	L, N, K := len(p.Requests), p.NumStations, p.NumServices
-	ws.prevKind = ""
-	g := ws.graph
-	src, sink := 0, 1+L+N
-	// Zero first so shrunken supplies cannot trip UpdateEdge's flow-above-cap
-	// guard (MinCostFlowRestartWS re-zeroes harmlessly).
-	g.ZeroFlows()
-	totalSupply := 0.0
-	for l := 0; l < L; l++ {
-		supply := p.Requests[l].Volume * p.CUnit
-		totalSupply += supply
-		k := p.Requests[l].Service
-		if g.UpdateEdge(ws.srcIDs[l], supply, 0) != nil {
-			return nil, false
-		}
-		for i := 0; i < N; i++ {
-			perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][k]) / supply
-			if g.UpdateEdge(ws.asgIDs[l*N+i], supply, perUnit) != nil {
-				return nil, false
-			}
-		}
-	}
-	for i := 0; i < N; i++ {
-		if g.UpdateEdge(ws.sinkIDs[i], p.CapacityMHz[i], 0) != nil {
-			return nil, false
-		}
-	}
-	res, err := g.MinCostFlowRestartWS(src, sink, totalSupply, ws.flowWS)
-	if err != nil {
-		return nil, false
-	}
-	frac := ws.result(L, N, K)
-	p.extractFlow(ws, frac)
-	frac.Objective = p.fracObjective(frac)
-	frac.Stats = SolveStats{
-		Solver:          SolverFlow,
-		Iterations:      res.Augmentations,
-		Variables:       L * N,
-		Constraints:     L + N,
-		WorkspaceReused: true,
-		WarmStarted:     true,
-		Rerouted:        L,
-	}
-	ws.noteSolved(p, SolverFlow, frac.Objective)
-	return frac, true
 }
 
 // SolveLPLadder is SolveLPLadderWS with a throwaway workspace.
@@ -1188,7 +894,7 @@ func (p *Problem) solveGreedyWS(ws *Workspace) *Fractional {
 		ws = NewWorkspace()
 	}
 	// Greedy results are not LP optima, so they must never feed an
-	// incremental skip or repair on a later slot.
+	// incremental skip or warm start on a later slot.
 	ws.prevKind = ""
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
 	frac := ws.result(L, N, K)

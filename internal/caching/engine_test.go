@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// Engine-differential coverage: SolveLPFlowWS must produce the same optimum
-// whether the lowered min-cost-flow instance is solved by successive shortest
-// paths (the default) or the network simplex. The comparable quantity is the
-// flow objective — the amortised per-unit cost both engines minimise — not
+// Differential coverage: SolveLPFlowWS solves the lowered min-cost-flow
+// instance with the network simplex, cold or warm from a carried basis, and
+// must reach the optimum the cold successive-shortest-paths reference
+// (flow.MinCostFlowWS) reaches. The comparable quantity is the flow
+// objective — the amortised per-unit cost both solvers minimise — not
 // Fractional.Objective, which is recomputed in LP terms (y = max x) and can
 // differ between distinct optimal vertices of the same polytope.
 
@@ -30,46 +31,40 @@ func amortisedCost(p *Problem, f *Fractional) float64 {
 	return total
 }
 
-func simplexWS(t *testing.T) *Workspace {
-	t.Helper()
+// coldSSP solves p's flow lowering on a fresh workspace with the cold SSP
+// reference solver and lifts the result exactly as SolveLPFlowWS does.
+func coldSSP(p *Problem) (*Fractional, error) {
 	ws := NewWorkspace()
-	if err := ws.SetFlowEngine(FlowEngineSimplex); err != nil {
-		t.Fatal(err)
+	g, totalSupply, _, err := p.lowerFlowGraph(ws)
+	if err != nil {
+		return nil, err
 	}
-	return ws
+	L, N := len(p.Requests), p.NumStations
+	if _, err := g.MinCostFlowWS(0, 1+L+N, totalSupply, ws.flowWS); err != nil {
+		return nil, err
+	}
+	frac := ws.result(L, N, p.NumServices)
+	p.extractFlow(ws, frac)
+	frac.Objective = p.fracObjective(frac)
+	return frac, nil
 }
 
-func TestSetFlowEngineValidates(t *testing.T) {
-	ws := NewWorkspace()
-	if ws.GetFlowEngine() != FlowEngineSSP {
-		t.Fatalf("default engine %q, want %q", ws.GetFlowEngine(), FlowEngineSSP)
-	}
-	if err := ws.SetFlowEngine("dinic"); err == nil {
-		t.Fatal("accepted unknown engine")
-	}
-	if err := ws.SetFlowEngine(FlowEngineSimplex); err != nil {
-		t.Fatal(err)
-	}
-	if ws.GetFlowEngine() != FlowEngineSimplex {
-		t.Fatalf("engine %q after SetFlowEngine(simplex)", ws.GetFlowEngine())
-	}
-}
-
-// TestPropertyFlowEnginesAgree solves ~200 random feasible instances with both
-// engines: identical amortised optimal cost to 1e-9, and the simplex solution
-// satisfies every ILP invariant the SSP solution does.
+// TestPropertyFlowEnginesAgree solves ~200 random feasible instances with the
+// production network simplex and the cold SSP reference: identical amortised
+// optimal cost to 1e-9, and the simplex solution satisfies every ILP
+// invariant the SSP solution does.
 func TestPropertyFlowEnginesAgree(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randProblem(rng, true)
 
-		ssp, err := p.SolveLPFlow()
+		ssp, err := coldSSP(p)
 		if err != nil {
 			t.Fatalf("seed %d: ssp engine: %v", seed, err)
 		}
 		sspCost := amortisedCost(p, ssp)
 
-		spx, err := p.SolveLPFlowWS(simplexWS(t))
+		spx, err := p.SolveLPFlow()
 		if err != nil {
 			t.Fatalf("seed %d: simplex engine: %v", seed, err)
 		}
@@ -90,13 +85,17 @@ func TestPropertyFlowEnginesAgree(t *testing.T) {
 }
 
 // TestPropertyLadderSimplexNeverFails throws the existing hostile set — the
-// same generator and seed range as TestPropertyLadderNeverFails — at a ladder
-// whose flow rung runs the simplex engine. The ladder contract is unchanged:
-// no errors ever, valid shapes, consistent bookkeeping, and whenever both
-// engines' ladders settle on the flow rung they agree on the amortised cost.
+// same generator and seed range as TestPropertyLadderNeverFails — at one
+// incremental workspace, the way OL_GD drives its ladder: the network
+// simplex's basis is carried from each instance into the next, across
+// infeasible slots and fallbacks. The ladder contract is unchanged: no errors
+// ever, valid shapes, consistent bookkeeping, and whenever the ladder settles
+// on the flow rung it agrees with the cold SSP reference on the amortised
+// cost.
 func TestPropertyLadderSimplexNeverFails(t *testing.T) {
 	sawFallback := false
-	ws := simplexWS(t)
+	ws := NewWorkspace()
+	ws.EnableIncremental(true)
 	for seed := int64(1000); seed < 1200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randProblem(rng, false)
@@ -122,11 +121,11 @@ func TestPropertyLadderSimplexNeverFails(t *testing.T) {
 			sawFallback = true
 		}
 
-		ref, err := p.SolveLPLadder()
-		if err != nil {
-			t.Fatalf("seed %d: ssp-engine ladder failed: %v", seed, err)
-		}
-		if f.Stats.Solver == SolverFlow && ref.Stats.Solver == SolverFlow {
+		if f.Stats.Solver == SolverFlow {
+			ref, err := coldSSP(p)
+			if err != nil {
+				t.Fatalf("seed %d: flow rung solved but the SSP reference failed: %v", seed, err)
+			}
 			a, b := amortisedCost(p, f), amortisedCost(p, ref)
 			if math.Abs(a-b) > 1e-9*(1+math.Abs(b)) {
 				t.Fatalf("seed %d: flow-rung amortised cost %v (simplex) vs %v (ssp)", seed, a, b)
@@ -134,13 +133,13 @@ func TestPropertyLadderSimplexNeverFails(t *testing.T) {
 		}
 	}
 	if !sawFallback {
-		t.Error("hostile set never exercised a fallback rung through the simplex engine")
+		t.Error("hostile set never exercised a fallback rung")
 	}
 }
 
 // TestPropertyIncrementalSimplexDriftAgreesWithCold mirrors the incremental
-// drift property for the simplex engine: one incremental simplex workspace
-// rides a drifting sequence — delay drift, volume jitter, occasional shape
+// drift property on the flow rung alone: one incremental workspace rides a
+// drifting sequence — delay drift, volume jitter, occasional shape
 // changes, quiet slots — and every step must match a cold SSP solve on the
 // amortised cost. The suite must also actually exercise the warm-basis path
 // and the unchanged-slot skip.
@@ -172,7 +171,7 @@ func TestPropertyIncrementalSimplexDriftAgreesWithCold(t *testing.T) {
 			}
 		}
 
-		ws := simplexWS(t)
+		ws := NewWorkspace()
 		ws.EnableIncremental(true)
 		for step := 0; step < 6; step++ {
 			if step > 0 && rng.Float64() > 0.15 {
@@ -210,13 +209,13 @@ func TestPropertyIncrementalSimplexDriftAgreesWithCold(t *testing.T) {
 						seed, step, i, u, p.CapacityMHz[i])
 				}
 			}
-			cold, err := p.SolveLPFlow()
+			cold, err := coldSSP(p)
 			if err != nil {
 				t.Fatalf("seed %d step %d: cold ssp: %v", seed, step, err)
 			}
 			a, b := amortisedCost(p, inc), amortisedCost(p, cold)
 			if math.Abs(a-b) > 1e-6*(1+math.Abs(b)) {
-				t.Fatalf("seed %d step %d (warm=%v skip=%q rebuilt=%v): amortised cost %v incremental-simplex vs %v cold-ssp",
+				t.Fatalf("seed %d step %d (warm=%v skip=%q rebuilt=%v): amortised cost %v incremental vs %v cold-ssp",
 					seed, step, inc.Stats.WarmStarted, inc.Stats.SkipReason, inc.Stats.BasisRebuilt, a, b)
 			}
 			if inc.Stats.WarmStarted {

@@ -1,14 +1,20 @@
-// Package flow implements min-cost max-flow via successive shortest paths
-// with Johnson potentials (Dijkstra after an initial Bellman-Ford pass for
-// negative edge costs). It is the fast path for the transportation-structured
+// Package flow solves min-cost flow problems on the transportation-structured
 // LP relaxation of the service-caching problem at experiment scale, where the
-// dense simplex in internal/lp would be too slow.
+// dense simplex in internal/lp would be too slow. It has two solvers:
+//
+//   - the primal network simplex (simplex.go), the production path: its
+//     spanning-tree basis is carried in a Workspace from one solve to the
+//     next, so a drifting per-slot instance re-optimises in a few pivots;
+//   - successive shortest paths with Johnson potentials (MinCostFlowWS), a
+//     cold solver kept as the independent reference the simplex is tested
+//     against, and for max-flow queries (want = +Inf).
 package flow
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Graph is a directed flow network under construction. Nodes are dense ints
@@ -16,7 +22,11 @@ import (
 type Graph struct {
 	n     int
 	edges []edge // forward/backward edges interleaved: i and i^1 are twins
-	head  [][]int
+	// head[u] lists the edge handles leaving u, twins included, in handle
+	// order. Only the SSP solver walks it, so MinCostFlowWS builds it (see
+	// index) instead of AddEdge: the network simplex never pays for it.
+	head    [][]int
+	indexed int // edges [0, indexed) are listed in head
 }
 
 type edge struct {
@@ -41,6 +51,7 @@ func (g *Graph) NumEdges() int { return len(g.edges) / 2 }
 // adjacency storage for reuse. Edge handles from before the Reset are invalid.
 func (g *Graph) Reset(n int) {
 	g.edges = g.edges[:0]
+	g.indexed = 0
 	if n <= cap(g.head) {
 		g.head = g.head[:n]
 		for i := range g.head {
@@ -71,9 +82,23 @@ func (g *Graph) AddEdge(from, to int, capacity, cost float64) (int, error) {
 	id := len(g.edges)
 	g.edges = append(g.edges, edge{to: to, cap: capacity, cost: cost})
 	g.edges = append(g.edges, edge{to: from, cap: 0, cost: -cost})
-	g.head[from] = append(g.head[from], id)
-	g.head[to] = append(g.head[to], id+1)
 	return id, nil
+}
+
+// Grow reserves room for m more AddEdge calls, so a graph built edge by edge
+// allocates its edge storage once, at its final size.
+func (g *Graph) Grow(m int) {
+	g.edges = slices.Grow(g.edges, 2*m)
+}
+
+// index lists the edges added since the last call in head.
+func (g *Graph) index() {
+	for id := g.indexed; id < len(g.edges); id += 2 {
+		from, to := g.edges[id+1].to, g.edges[id].to
+		g.head[from] = append(g.head[from], id)
+		g.head[to] = append(g.head[to], id+1)
+	}
+	g.indexed = len(g.edges)
 }
 
 // SetEdge rewrites the capacity and cost of an existing edge handle in place,
@@ -95,48 +120,6 @@ func (g *Graph) SetEdge(id int, capacity, cost float64) error {
 	return nil
 }
 
-// UpdateEdge rewrites the capacity and cost of an existing edge handle while
-// preserving the flow it carries — the repair-path counterpart of SetEdge. It
-// fails if the carried flow would exceed the new capacity; callers treat that
-// as the signal to rebuild and solve cold.
-func (g *Graph) UpdateEdge(id int, capacity, cost float64) error {
-	if id < 0 || id >= len(g.edges) || id%2 != 0 {
-		return fmt.Errorf("flow: invalid edge handle %d", id)
-	}
-	if capacity < 0 || math.IsNaN(capacity) || math.IsNaN(cost) || math.IsInf(cost, 0) {
-		return fmt.Errorf("flow: invalid capacity %v or cost %v", capacity, cost)
-	}
-	if g.edges[id].flow > capacity+_eps {
-		return fmt.Errorf("flow: edge %d carries %v, above new capacity %v", id, g.edges[id].flow, capacity)
-	}
-	g.edges[id].cap = capacity
-	g.edges[id].cost = cost
-	g.edges[id^1].cost = -cost
-	return nil
-}
-
-// Drain removes amount units of flow from forward edge handle id (and its
-// backward twin). Repair solves use it to evict a changed request's routing
-// before re-routing only the delta.
-func (g *Graph) Drain(id int, amount float64) error {
-	if id < 0 || id >= len(g.edges) || id%2 != 0 {
-		return fmt.Errorf("flow: invalid edge handle %d", id)
-	}
-	if amount < -_eps || amount > g.edges[id].flow+_eps {
-		return fmt.Errorf("flow: cannot drain %v from edge %d carrying %v", amount, id, g.edges[id].flow)
-	}
-	g.edges[id].flow -= amount
-	g.edges[id^1].flow += amount
-	return nil
-}
-
-// ZeroFlows clears the flow on every edge so the graph can be re-solved.
-func (g *Graph) ZeroFlows() {
-	for i := range g.edges {
-		g.edges[i].flow = 0
-	}
-}
-
 // Flow returns the flow currently carried by edge handle id.
 func (g *Graph) Flow(id int) float64 { return g.edges[id].flow }
 
@@ -154,19 +137,11 @@ type Result struct {
 	// UsedBellmanFord reports whether negative edge costs forced the initial
 	// Bellman-Ford potential pass (the slow path).
 	UsedBellmanFord bool
-	// WarmStarted reports whether potentials carried in the Workspace from a
-	// previous solve replaced the Bellman-Ford pass (or, on the resume path,
-	// were adopted without a refresh sweep).
+	// WarmStarted reports whether state carried in the Workspace from a
+	// previous solve was reused: potentials that replaced the Bellman-Ford
+	// pass (MinCostFlowWS), or the spanning-tree basis
+	// (MinCostFlowSimplexWarmWS).
 	WarmStarted bool
-	// Resumed reports that the solve continued from flows already carried by
-	// the graph instead of starting from zero (MinCostFlowResumeWS).
-	Resumed bool
-	// RepairedPotentials reports that the resume path had to rebuild feasible
-	// potentials with a Bellman-Ford sweep because the carried ones were stale.
-	RepairedPotentials bool
-	// CanceledCycles counts negative residual cycles the resume path canceled
-	// to restore optimality of the carried flow after cost drift.
-	CanceledCycles int
 	// Pivots counts network-simplex basis exchanges — the simplex solver's
 	// unit of work, the counterpart of Augmentations on the SSP path. It
 	// includes any pivots spent on a warm attempt that was later abandoned.
@@ -181,11 +156,6 @@ type Result struct {
 // ErrDisconnected is returned by MinCostFlow when the requested flow value
 // cannot be routed.
 var ErrDisconnected = errors.New("flow: requested flow not routable")
-
-// ErrNegativeCycle is returned by MinCostFlowResumeWS when the carried flow
-// is not cost-optimal for its value and the cycle-canceling repair could not
-// restore optimality within its budget. Callers must rebuild and solve cold.
-var ErrNegativeCycle = errors.New("flow: carried flow not optimal (negative residual cycle)")
 
 // ErrPivotLimit is returned by the network-simplex solver when a cold solve
 // exhausts its pivot budget before reaching optimality — a termination
@@ -261,12 +231,6 @@ type Workspace struct {
 	prevEdge []int
 	pot      []float64
 	heap     pq
-	mark     []bool
-	queueA   []int
-	queueB   []int
-	queued   []bool
-	cycle    []int
-	arc      []int
 
 	warmPot  []float64
 	haveWarm bool
@@ -285,19 +249,10 @@ func (ws *Workspace) ensure(n int) {
 		ws.dist = make([]float64, n)
 		ws.prevEdge = make([]int, n)
 		ws.pot = make([]float64, n)
-		ws.mark = make([]bool, n)
-		ws.queueA = make([]int, 0, n)
-		ws.queueB = make([]int, 0, n)
-		ws.queued = make([]bool, n)
-		ws.cycle = make([]int, 0, n)
-		ws.arc = make([]int, n)
 	}
 	ws.dist = ws.dist[:n]
 	ws.prevEdge = ws.prevEdge[:n]
 	ws.pot = ws.pot[:n]
-	ws.mark = ws.mark[:n]
-	ws.queued = ws.queued[:n]
-	ws.arc = ws.arc[:n]
 	ws.heap = ws.heap[:0]
 }
 
@@ -346,6 +301,7 @@ func (g *Graph) MinCostFlowWS(s, t int, want float64, ws *Workspace) (Result, er
 		ws = NewWorkspace()
 	}
 	ws.ensure(g.n)
+	g.index()
 
 	pot := ws.pot
 	for i := range pot {
@@ -373,251 +329,6 @@ func (g *Graph) MinCostFlowWS(s, t int, want float64, ws *Workspace) (Result, er
 		return res, ErrDisconnected
 	}
 	return res, nil
-}
-
-// MinCostFlowResumeWS continues a solve from the flows the graph already
-// carries instead of starting from zero — the repair path when only a small
-// demand delta changed between slots. The caller is expected to have evicted
-// (Drain) the flow of any source edge whose supply shrank and updated costs
-// and capacities in place (UpdateEdge) so the carried flow is feasible.
-//
-// Soundness: successive shortest paths stays exact as long as the starting
-// flow is min-cost for its own value. The carried potentials certify that in
-// O(E) when they are still feasible; otherwise a Bellman-Ford-Moore sweep
-// (seeded from them) rebuilds feasible potentials, and any negative residual
-// cycle it uncovers — carried flow made suboptimal by cost drift or an
-// eviction — is canceled in place, strictly improving the carried flow until
-// it is optimal for its value again. Augmentation then routes only the
-// deficit want − carried. If repair exceeds its cancellation budget (a sign
-// the instance changed too much to be worth repairing) ErrNegativeCycle tells
-// the caller to rebuild cold.
-func (g *Graph) MinCostFlowResumeWS(s, t int, want float64, ws *Workspace) (Result, error) {
-	if s < 0 || s >= g.n || t < 0 || t >= g.n {
-		return Result{}, fmt.Errorf("flow: source %d or sink %d out of range", s, t)
-	}
-	if s == t {
-		return Result{}, fmt.Errorf("flow: source equals sink (%d)", s)
-	}
-	if ws == nil {
-		ws = NewWorkspace()
-	}
-	ws.ensure(g.n)
-
-	res := Result{Resumed: true}
-	pot := ws.pot
-	if ws.haveWarm && len(ws.warmPot) == g.n && g.potentialsFeasible(ws.warmPot) {
-		copy(pot, ws.warmPot)
-		res.WarmStarted = true
-	} else {
-		var seed []float64
-		if ws.haveWarm && len(ws.warmPot) == g.n {
-			seed = ws.warmPot
-		}
-		canceled, err := g.repairPotentials(pot, seed, ws)
-		res.CanceledCycles = canceled
-		if err != nil {
-			ws.haveWarm = false
-			return res, err
-		}
-		res.RepairedPotentials = true
-	}
-
-	// Account the (repaired) carried flow. Twin (odd) handles at s carry the
-	// negated flow of incoming edges, so summing both kinds yields net outflow.
-	for _, id := range g.head[s] {
-		res.Flow += g.edges[id].flow
-	}
-	for i := 0; i < len(g.edges); i += 2 {
-		res.Cost += g.edges[i].flow * g.edges[i].cost
-	}
-
-	g.augment(s, t, want, ws, pot, &res)
-	g.carryPotentials(ws, pot)
-
-	if !math.IsInf(want, 1) && res.Flow < want-1e-6 {
-		return res, ErrDisconnected
-	}
-	return res, nil
-}
-
-// MinCostFlowRestartWS re-solves from zero flow but keeps the workspace's
-// carried potentials as the dual warm start. It is the dense-drift
-// counterpart of MinCostFlowResumeWS: when costs moved on most edges, the
-// carried flow would need roughly one negative-cycle cancellation per moved
-// edge to repair, which costs more than re-routing — but the carried
-// potentials are still nearly correct, and after a cancel-free repair sweep
-// (the zero-flow residual graph is the forward DAG, so no cycles exist) they
-// let every Dijkstra stop the moment the sink is finalised instead of
-// exhausting the graph. Remaining labels are clamped at the sink's distance
-// for the potential update, which preserves feasibility and exactness.
-func (g *Graph) MinCostFlowRestartWS(s, t int, want float64, ws *Workspace) (Result, error) {
-	if s < 0 || s >= g.n || t < 0 || t >= g.n {
-		return Result{}, fmt.Errorf("flow: source %d or sink %d out of range", s, t)
-	}
-	if s == t {
-		return Result{}, fmt.Errorf("flow: source equals sink (%d)", s)
-	}
-	if ws == nil {
-		ws = NewWorkspace()
-	}
-	ws.ensure(g.n)
-	g.ZeroFlows()
-
-	res := Result{}
-	pot := ws.pot
-	var seed []float64
-	if ws.haveWarm && len(ws.warmPot) == g.n {
-		seed = ws.warmPot
-		res.WarmStarted = true
-	}
-	canceled, err := g.repairPotentials(pot, seed, ws)
-	res.CanceledCycles = canceled
-	if err != nil {
-		// Unreachable on an acyclic residual graph; treated as a cold-solve
-		// signal all the same.
-		ws.haveWarm = false
-		return res, err
-	}
-	res.RepairedPotentials = true
-
-	g.augmentEarly(s, t, want, ws, pot, &res)
-	g.carryPotentials(ws, pot)
-
-	if !math.IsInf(want, 1) && res.Flow < want-1e-6 {
-		return res, ErrDisconnected
-	}
-	return res, nil
-}
-
-// augmentEarly is augment rewritten for the warm path: each phase runs a
-// reverse Dijkstra from the sink over reduced costs and stops the moment the
-// source's label is no worse than the best tentative one. The assignment
-// graph is a shallow source→requests→stations→sink DAG, and a warm start
-// puts the whole request layer on a zero-reduced-cost plateau — a forward
-// search drains that entire layer before the sink is ever labelled, while
-// the reverse search crosses the narrow station layer and finalises the
-// source after a handful of pops. The potential update subtracts to-sink
-// distances clamped at dist[s]; the same Dijkstra invariant as the forward
-// clamp applies (any label below dist[s] is finalised and exact, any
-// unfinalised node's true distance is at least dist[s]), so reduced costs
-// stay non-negative. Kept separate from augment so the cold path's
-// arithmetic stays byte-for-byte identical to the seed solver.
-func (g *Graph) augmentEarly(s, t int, want float64, ws *Workspace, pot []float64, res *Result) {
-	dist := ws.dist
-	nextEdge := ws.prevEdge // edge u→v leading from u toward t
-	edges := g.edges
-	head := g.head
-	// pos[u] is u's index in the live frontier, -1 when absent. The frontier
-	// stores (node, dist) pairs inline so the min-scan walks a few hundred
-	// contiguous bytes instead of chasing dist[] loads.
-	pos := ws.arc
-	for i := range pos {
-		pos[i] = -1
-	}
-	for res.Flow < want-_eps {
-		for i := range dist {
-			dist[i] = math.Inf(1)
-			nextEdge[i] = -1
-		}
-		dist[t] = 0
-		// Unordered-frontier Dijkstra: with only requests+stations+2 nodes,
-		// scanning a small live frontier for the minimum beats any heap — no
-		// duplicate entries, and a label update is a single in-place store.
-		fr := ws.heap[:0]
-		fr = append(fr, pqItem{node: t, dist: 0})
-		pos[t] = 0
-		sLabel := math.Inf(1)
-		for len(fr) > 0 {
-			bi := 0
-			bd := fr[0].dist
-			for k := 1; k < len(fr); k++ {
-				if d := fr[k].dist; d < bd {
-					bd, bi = d, k
-				}
-			}
-			// s is finalised as soon as its label is no worse than the best
-			// tentative one — on the zero-reduced-cost plateau a warm start
-			// creates, this skips draining the tied entries one by one.
-			if sLabel <= bd {
-				break
-			}
-			v := fr[bi].node
-			last := len(fr) - 1
-			if bi != last {
-				fr[bi] = fr[last]
-				pos[fr[bi].node] = bi
-			}
-			fr = fr[:last]
-			pos[v] = -1
-			dv, pv := bd, pot[v]
-			for _, id := range head[v] {
-				// The twin of each outgoing edge is the residual edge u→v
-				// entering v; relaxing it extends the to-sink distance to u.
-				tw := &edges[id^1]
-				if tw.cap-tw.flow <= _eps {
-					continue
-				}
-				u := edges[id].to
-				nd := dv + tw.cost + pot[u] - pv
-				if nd >= dist[u]-_eps {
-					continue
-				}
-				if u == s {
-					dist[u] = nd
-					nextEdge[u] = id ^ 1
-					sLabel = nd
-					continue
-				}
-				// A label at or above the source's is dead weight: the
-				// potential clamp treats it as dist[s] anyway, and dropping
-				// it here only discards paths tied with the one already
-				// found.
-				if nd >= sLabel {
-					continue
-				}
-				dist[u] = nd
-				nextEdge[u] = id ^ 1
-				if p := pos[u]; p >= 0 {
-					fr[p].dist = nd
-				} else {
-					pos[u] = len(fr)
-					fr = append(fr, pqItem{node: u, dist: nd})
-				}
-			}
-		}
-		for _, it := range fr {
-			pos[it.node] = -1
-		}
-		ws.heap = fr[:0]
-		if math.IsInf(dist[s], 1) {
-			break
-		}
-		ds := dist[s]
-		for i := range pot {
-			if d := dist[i]; d < ds {
-				pot[i] -= d
-			} else {
-				pot[i] -= ds
-			}
-		}
-		push := want - res.Flow
-		for v := s; v != t; {
-			e := &g.edges[nextEdge[v]]
-			if r := e.cap - e.flow; r < push {
-				push = r
-			}
-			v = e.to
-		}
-		for v := s; v != t; {
-			id := nextEdge[v]
-			g.edges[id].flow += push
-			g.edges[id^1].flow -= push
-			res.Cost += push * g.edges[id].cost
-			v = g.edges[id].to
-		}
-		res.Flow += push
-		res.Augmentations++
-	}
 }
 
 // augment runs the successive-shortest-path loop, pushing flow until want is
@@ -695,14 +406,6 @@ func (g *Graph) carryPotentials(ws *Workspace, pot []float64) {
 	ws.haveWarm = true
 }
 
-// CertifyOptimal reports whether the workspace's carried potentials prove the
-// graph's current flow is min-cost for its value: every residual edge has
-// non-negative reduced cost. An O(E) check that lets callers skip a solve
-// outright on quiet slots.
-func (g *Graph) CertifyOptimal(ws *Workspace) bool {
-	return ws != nil && ws.haveWarm && len(ws.warmPot) == g.n && g.potentialsFeasible(ws.warmPot)
-}
-
 // potentialsFeasible reports whether pot yields non-negative reduced costs on
 // every residual edge — the condition for Dijkstra to be exact without a
 // Bellman-Ford pass.
@@ -728,209 +431,6 @@ func (g *Graph) hasNegativeCost() bool {
 		}
 	}
 	return false
-}
-
-// repairPotentials rebuilds feasible potentials for the current residual
-// graph by frontier-tracked Bellman-Ford relaxation initialised from seed (or
-// zeros when seed is absent). Each round relaxes only the out-edges of nodes
-// whose potential changed in the previous round, so a drift that re-exposes a
-// handful of edges touches a handful of nodes per round instead of sweeping
-// all of them — that locality is what keeps incremental repair cheaper than a
-// cold solve. Seeding every violated edge's tail (rather than one source)
-// means an empty frontier also certifies global optimality of whatever flow
-// the graph carries.
-//
-// Negative residual cycles — the carried flow no longer cost-optimal after
-// drift — are detected the moment a relaxation closes one in the parent tree
-// (ancestor check) and canceled in place: the bottleneck residual is pushed
-// around the cycle, and relaxation resumes with just the cycle's nodes
-// re-queued, since flow changed nowhere else. No re-seed scan, no frontier
-// rebuild — under dense cost drift dozens of cancels happen per repair, and
-// restarting from a full O(E) scan for each was the dominant cost of the warm
-// path. Parent pointers on the canceled cycle are cleared; chains elsewhere
-// may go stale, so a cycle that later fails verification triggers one full
-// restart with fresh parents (`dirty`), and only a failure with fresh parents
-// is a genuine error. A frontier still active after n cancel-free rounds
-// falls back to the same cancel path. Returns the number of cycles canceled;
-// ErrNegativeCycle if the cancellation budget is exhausted or a fresh-parent
-// cycle fails verification (callers then rebuild cold).
-func (g *Graph) repairPotentials(pot, seed []float64, ws *Workspace) (int, error) {
-	if len(seed) == g.n {
-		copy(pot, seed)
-	} else {
-		for i := range pot {
-			pot[i] = 0
-		}
-	}
-	parent := ws.prevEdge // scratch; augment re-initialises it per Dijkstra
-	canceled := 0
-	maxCancel := 2*g.n + 16
-restart:
-	for {
-		for i := range parent {
-			parent[i] = -1
-			ws.queued[i] = false
-		}
-		cur, next := ws.queueA[:0], ws.queueB[:0]
-		// Seed with the tail of every violated residual edge; everything else
-		// is already consistent under the carried potentials.
-		for u := 0; u < g.n; u++ {
-			for _, id := range g.head[u] {
-				e := &g.edges[id]
-				if e.cap-e.flow > _eps && e.cost+pot[u]-pot[e.to] < -_eps {
-					cur = append(cur, u)
-					ws.queued[u] = true
-					break
-				}
-			}
-		}
-		dirty := false // a cancel reused parent state since the last re-seed
-		for round := 0; len(cur) > 0; round++ {
-			if round > g.n {
-				// Only reachable when the ancestor checks below missed the
-				// cycle through cleared parents: cancel from the stuck
-				// frontier's parent tree.
-				if canceled >= maxCancel {
-					ws.queueA, ws.queueB = cur[:0], next[:0]
-					return canceled, ErrNegativeCycle
-				}
-				nodes, ok := g.cancelCycleFrom(cur[0], parent, ws)
-				if !ok {
-					ws.queueA, ws.queueB = cur[:0], next[:0]
-					if dirty {
-						continue restart
-					}
-					return canceled, ErrNegativeCycle
-				}
-				canceled++
-				dirty = true
-				for _, w := range nodes {
-					parent[w] = -1
-					if !ws.queued[w] {
-						ws.queued[w] = true
-						cur = append(cur, w)
-					}
-				}
-				round = 0
-			}
-			next = next[:0]
-			for _, u := range cur {
-				ws.queued[u] = false
-				for _, id := range g.head[u] {
-					e := &g.edges[id]
-					if e.cap-e.flow <= _eps {
-						continue
-					}
-					if nd := pot[u] + e.cost; nd < pot[e.to]-_eps {
-						// If e.to is an ancestor of u in the parent tree this
-						// relaxation closes a negative cycle: cancel it now
-						// rather than churning n rounds to prove the frontier
-						// can't settle.
-						onCycle := u == e.to
-						for w, steps := u, 0; !onCycle && steps < g.n; steps++ {
-							pid := parent[w]
-							if pid < 0 {
-								break
-							}
-							w = g.edges[pid^1].to
-							onCycle = w == e.to
-						}
-						pot[e.to] = nd
-						parent[e.to] = id
-						if onCycle {
-							if canceled >= maxCancel {
-								ws.queueA, ws.queueB = cur[:0], next[:0]
-								return canceled, ErrNegativeCycle
-							}
-							nodes, ok := g.cancelCycleFrom(e.to, parent, ws)
-							if !ok {
-								if dirty {
-									ws.queueA, ws.queueB = cur[:0], next[:0]
-									continue restart
-								}
-								ws.queueA, ws.queueB = cur[:0], next[:0]
-								return canceled, ErrNegativeCycle
-							}
-							canceled++
-							dirty = true
-							// Flow moved only on the cycle, so only its nodes
-							// can head new violations: re-queue them and keep
-							// relaxing — no restart.
-							for _, w := range nodes {
-								parent[w] = -1
-								if !ws.queued[w] {
-									ws.queued[w] = true
-									next = append(next, w)
-								}
-							}
-							round = 0
-							continue
-						}
-						if !ws.queued[e.to] {
-							ws.queued[e.to] = true
-							next = append(next, e.to)
-						}
-					}
-				}
-			}
-			cur, next = next, cur
-		}
-		ws.queueA, ws.queueB = cur[:0], next[:0]
-		return canceled, nil
-	}
-}
-
-// cancelCycleFrom walks parent pointers back from node v until it closes a
-// directed residual cycle, verifies the cycle genuinely improves the carried
-// flow, and pushes the bottleneck residual around it. On success it returns
-// the cycle's nodes (valid until the next call; backed by workspace scratch)
-// so the caller can resume relaxation from just those nodes — flow changed
-// only on the cycle, so any freshly violated residual edge has its tail
-// there. Reports ok=false when no verifiable cycle is reachable.
-func (g *Graph) cancelCycleFrom(v int, parent []int, ws *Workspace) ([]int, bool) {
-	mark := ws.mark
-	for i := range mark {
-		mark[i] = false
-	}
-	for !mark[v] {
-		mark[v] = true
-		id := parent[v]
-		if id < 0 {
-			return nil, false
-		}
-		v = g.edges[id^1].to
-	}
-	start := v
-	var cost float64
-	bottleneck := math.Inf(1)
-	nodes := ws.cycle[:0]
-	for u := start; ; {
-		nodes = append(nodes, u)
-		id := parent[u]
-		e := &g.edges[id]
-		cost += e.cost
-		if r := e.cap - e.flow; r < bottleneck {
-			bottleneck = r
-		}
-		u = g.edges[id^1].to
-		if u == start {
-			break
-		}
-	}
-	ws.cycle = nodes
-	if cost >= -_eps || bottleneck <= _eps || math.IsInf(bottleneck, 1) {
-		return nil, false
-	}
-	for u := start; ; {
-		id := parent[u]
-		g.edges[id].flow += bottleneck
-		g.edges[id^1].flow -= bottleneck
-		u = g.edges[id^1].to
-		if u == start {
-			break
-		}
-	}
-	return nodes, true
 }
 
 // bellmanFord initialises potentials when negative edge costs are present.

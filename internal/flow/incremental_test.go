@@ -2,7 +2,6 @@ package flow
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -54,7 +53,8 @@ func (tg *transportGraph) total() float64 {
 	return s
 }
 
-// coldCost solves an equivalent fresh graph from scratch and returns its cost.
+// coldCost solves an equivalent fresh graph from scratch with the cold SSP
+// reference solver and returns its cost.
 func coldCost(t *testing.T, tg *transportGraph) float64 {
 	t.Helper()
 	ref := buildTransport(t, tg.supply, tg.caps, tg.costs)
@@ -65,125 +65,63 @@ func coldCost(t *testing.T, tg *transportGraph) float64 {
 	return res.Cost
 }
 
-// evict drains every unit request l currently routes, leaving the graph ready
-// for an UpdateEdge with its new supply.
-func (tg *transportGraph) evict(t *testing.T, l int) {
+// rewrite re-applies the spec's current supplies, capacities and costs to
+// every edge in place (SetEdge), the per-slot rewrite a caller performs
+// before a warm re-solve.
+func (tg *transportGraph) rewrite(t *testing.T) {
 	t.Helper()
+	for i := 0; i < tg.l; i++ {
+		if err := tg.g.SetEdge(tg.src[i], tg.supply[i], 0); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < tg.n; j++ {
+			if err := tg.g.SetEdge(tg.asg[i][j], tg.supply[i], tg.costs[i][j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for j := 0; j < tg.n; j++ {
-		f := tg.g.Flow(tg.asg[l][j])
-		if f <= 0 {
-			continue
-		}
-		if err := tg.g.Drain(tg.asg[l][j], f); err != nil {
-			t.Fatal(err)
-		}
-		if err := tg.g.Drain(tg.sink[j], f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f := tg.g.Flow(tg.src[l]); f > 0 {
-		if err := tg.g.Drain(tg.src[l], f); err != nil {
+		if err := tg.g.SetEdge(tg.sink[j], tg.caps[j], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-func TestResumeMatchesColdUnderDrift(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		l := 2 + rng.Intn(5)
-		n := 2 + rng.Intn(4)
-		supply := make([]float64, l)
-		for i := range supply {
-			supply[i] = 1 + 9*rng.Float64()
-		}
-		caps := make([]float64, n)
-		costs := make([][]float64, l)
-		for i := range costs {
-			costs[i] = make([]float64, n)
-			for j := range costs[i] {
-				costs[i][j] = rng.Float64() * 20
-			}
-		}
-		var total float64
-		for _, v := range supply {
-			total += v
-		}
-		for j := range caps {
-			caps[j] = total/float64(n) + 5 + 10*rng.Float64()
-		}
-
-		tg := buildTransport(t, supply, caps, costs)
-		ws := NewWorkspace()
-		if _, err := tg.g.MinCostFlowWS(tg.source, tg.sinkID, tg.total(), ws); err != nil {
-			t.Fatalf("seed %d: initial solve: %v", seed, err)
-		}
-
-		for step := 0; step < 6; step++ {
-			// Drift: all costs jitter; occasionally a request's supply changes.
-			for i := 0; i < l; i++ {
-				changed := rng.Float64() < 0.3
-				if changed {
-					tg.evict(t, i)
-					tg.supply[i] = 1 + 9*rng.Float64()
-					if err := tg.g.UpdateEdge(tg.src[i], tg.supply[i], 0); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for j := 0; j < n; j++ {
-					tg.costs[i][j] = math.Max(0, tg.costs[i][j]+rng.NormFloat64())
-					if err := tg.g.UpdateEdge(tg.asg[i][j], tg.supply[i], tg.costs[i][j]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			res, err := tg.g.MinCostFlowResumeWS(tg.source, tg.sinkID, tg.total(), ws)
-			if err != nil {
-				t.Fatalf("seed %d step %d: resume: %v", seed, step, err)
-			}
-			if !res.Resumed {
-				t.Fatalf("seed %d step %d: result not marked Resumed", seed, step)
-			}
-			if math.Abs(res.Flow-tg.total()) > 1e-6 {
-				t.Fatalf("seed %d step %d: flow %v, want %v", seed, step, res.Flow, tg.total())
-			}
-			want := coldCost(t, tg)
-			if math.Abs(res.Cost-want) > 1e-6*(1+math.Abs(want)) {
-				t.Fatalf("seed %d step %d: resumed cost %v, cold cost %v", seed, step, res.Cost, want)
-			}
-		}
-	}
-}
-
+// TestResumeQuietSlotDoesNoWork resumes the network simplex from its carried
+// basis on an unchanged instance: the basis is still optimal, so the warm
+// solve must reuse it, take zero pivots, and land on the same cost.
 func TestResumeQuietSlotDoesNoWork(t *testing.T) {
 	tg := buildTransport(t,
 		[]float64{3, 4}, []float64{10, 10},
 		[][]float64{{1, 2}, {2, 1}})
 	ws := NewWorkspace()
-	if _, err := tg.g.MinCostFlowWS(tg.source, tg.sinkID, tg.total(), ws); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing changed: resuming routes zero new flow with zero Dijkstras.
-	res, err := tg.g.MinCostFlowResumeWS(tg.source, tg.sinkID, tg.total(), ws)
+	cold, err := tg.g.MinCostFlowSimplexWS(tg.source, tg.sinkID, tg.total(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Augmentations != 0 {
-		t.Errorf("quiet resume ran %d augmentations, want 0", res.Augmentations)
+	tg.rewrite(t)
+	res, err := tg.g.MinCostFlowSimplexWarmWS(tg.source, tg.sinkID, tg.total(), ws)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !res.WarmStarted {
-		t.Errorf("quiet resume should adopt carried potentials without a repair sweep")
+	if !res.WarmStarted || res.BasisRebuilt {
+		t.Errorf("quiet resume flags: warm=%v rebuilt=%v, want the carried basis reused",
+			res.WarmStarted, res.BasisRebuilt)
 	}
-	if !tg.g.CertifyOptimal(ws) {
-		t.Errorf("CertifyOptimal = false on an untouched optimal flow")
+	if res.Pivots != 0 {
+		t.Errorf("quiet resume ran %d pivots, want 0", res.Pivots)
+	}
+	if math.Abs(res.Cost-cold.Cost) > 1e-12 {
+		t.Errorf("quiet resume cost %v, cold %v", res.Cost, cold.Cost)
 	}
 }
 
+// TestResumeCancelsNegativeResidualCycle routes 1 unit via A (cost 2), then
+// makes the B route free: the residual cycle r -> B -> t -> A(back) ->
+// r(back) now has cost -2 and the carried basis is suboptimal. Resuming from
+// it must pivot the B route in (cancelling the cycle) and land on the new
+// optimum rather than lock the stale routing in.
 func TestResumeCancelsNegativeResidualCycle(t *testing.T) {
-	// Route 1 unit via A (cost 2), then make the B route free: the residual
-	// cycle r -> B -> t -> A(back) -> r(back) has cost -2 and the carried flow
-	// is provably suboptimal. Resume must cancel the cycle and land on the
-	// new optimum rather than lock the stale routing in.
 	g := NewGraph(5)
 	const (
 		src, r, a, b, snk = 0, 1, 2, 3, 4
@@ -194,24 +132,24 @@ func TestResumeCancelsNegativeResidualCycle(t *testing.T) {
 	rb := mustEdge(t, g, r, b, 1, 10)
 	bt := mustEdge(t, g, b, snk, 1, 10)
 	ws := NewWorkspace()
-	if _, err := g.MinCostFlowWS(src, snk, 1, ws); err != nil {
+	if _, err := g.MinCostFlowSimplexWS(src, snk, 1, ws); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.UpdateEdge(rb, 1, 0); err != nil {
+	if g.Flow(ra) != 1 || g.Flow(at) != 1 {
+		t.Fatalf("cold solve did not route through A: ra=%v at=%v", g.Flow(ra), g.Flow(at))
+	}
+	if err := g.SetEdge(rb, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.UpdateEdge(bt, 1, 0); err != nil {
+	if err := g.SetEdge(bt, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if g.CertifyOptimal(ws) {
-		t.Fatal("stale potentials certified a suboptimal flow")
-	}
-	res, err := g.MinCostFlowResumeWS(src, snk, 1, ws)
+	res, err := g.MinCostFlowSimplexWarmWS(src, snk, 1, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CanceledCycles == 0 {
-		t.Error("expected at least one canceled residual cycle")
+	if !res.WarmStarted || res.Pivots == 0 {
+		t.Errorf("resume flags: warm=%v pivots=%d, want a warm solve that pivots", res.WarmStarted, res.Pivots)
 	}
 	if math.Abs(res.Cost) > 1e-9 {
 		t.Errorf("resumed cost %v, want 0 (free B route)", res.Cost)
@@ -222,62 +160,30 @@ func TestResumeCancelsNegativeResidualCycle(t *testing.T) {
 	}
 }
 
+// TestResumeRepairsPotentialsAfterEviction shrinks one request's supply
+// between solves, which evicts part of its carried routing: resuming from the
+// carried basis must re-price the potentials and land on the cold SSP
+// optimum.
 func TestResumeRepairsPotentialsAfterEviction(t *testing.T) {
-	// Evicting flow reopens saturated forward edges whose reduced costs can be
-	// negative under the carried potentials; the repair sweep must fix them and
-	// the re-route must land on the cold optimum.
 	tg := buildTransport(t,
 		[]float64{5, 5}, []float64{6, 6},
 		[][]float64{{1, 4}, {1, 4}})
 	ws := NewWorkspace()
-	if _, err := tg.g.MinCostFlowWS(tg.source, tg.sinkID, tg.total(), ws); err != nil {
+	if _, err := tg.g.MinCostFlowSimplexWS(tg.source, tg.sinkID, tg.total(), ws); err != nil {
 		t.Fatal(err)
 	}
-	tg.evict(t, 0)
 	tg.supply[0] = 2
-	if err := tg.g.UpdateEdge(tg.src[0], 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < tg.n; j++ {
-		if err := tg.g.UpdateEdge(tg.asg[0][j], 2, tg.costs[0][j]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := tg.g.MinCostFlowResumeWS(tg.source, tg.sinkID, tg.total(), ws)
+	tg.rewrite(t)
+	res, err := tg.g.MinCostFlowSimplexWarmWS(tg.source, tg.sinkID, tg.total(), ws)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !res.WarmStarted {
+		t.Error("shrunken supply did not resume from the carried basis")
 	}
 	want := coldCost(t, tg)
 	if math.Abs(res.Cost-want) > 1e-9 {
 		t.Fatalf("resumed cost %v, cold cost %v", res.Cost, want)
 	}
-}
-
-func TestUpdateEdgeAndDrainValidation(t *testing.T) {
-	g := NewGraph(2)
-	id := mustEdge(t, g, 0, 1, 5, 2)
-	if _, err := g.MinCostFlow(0, 1, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.UpdateEdge(id, 3, 2); err == nil {
-		t.Error("UpdateEdge accepted a capacity below the carried flow")
-	}
-	if err := g.UpdateEdge(id, 4, 7); err != nil {
-		t.Errorf("UpdateEdge rejected a valid update: %v", err)
-	}
-	if g.Flow(id) != 4 {
-		t.Errorf("UpdateEdge changed flow: %v", g.Flow(id))
-	}
-	if err := g.Drain(id, 5); err == nil {
-		t.Error("Drain accepted amount above carried flow")
-	}
-	if err := g.Drain(id+1, 1); err == nil {
-		t.Error("Drain accepted a twin handle")
-	}
-	if err := g.Drain(id, 4); err != nil {
-		t.Fatal(err)
-	}
-	if g.Flow(id) != 0 {
-		t.Errorf("flow after full drain = %v", g.Flow(id))
-	}
+	checkFlowInvariants(t, tg.g, tg.source, tg.sinkID, "resumed simplex")
 }

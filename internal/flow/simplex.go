@@ -39,7 +39,7 @@ const spxCandMax = 64
 // every instance a trivially strongly feasible starting tree and turn
 // infeasibility into big-M artificial flow at the optimum.
 type spxBasis struct {
-	tail, head []int
+	tail, head []int32 // arc endpoints; int32 halves the largest per-arc arrays
 	cap        []float64
 	cost       []float64
 	flow       []float64
@@ -123,6 +123,9 @@ func (g *Graph) simplexSolve(s, t int, want float64, ws *Workspace, warm bool) (
 	if math.IsInf(want, 1) {
 		return Result{}, errors.New("flow: simplex solves a fixed flow value; use MinCostFlowWS for max-flow")
 	}
+	if g.n >= math.MaxInt32 {
+		return Result{}, fmt.Errorf("flow: simplex supports fewer than %d nodes, graph has %d", math.MaxInt32, g.n)
+	}
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -201,8 +204,8 @@ func (b *spxBasis) numArcs() int { return b.m + b.n - 1 }
 // ensure sizes the basis arrays for n nodes (including the root) and na arcs.
 func (b *spxBasis) ensure(n, na int) {
 	if cap(b.tail) < na {
-		b.tail = make([]int, na)
-		b.head = make([]int, na)
+		b.tail = make([]int32, na)
+		b.head = make([]int32, na)
 		b.cap = make([]float64, na)
 		b.cost = make([]float64, na)
 		b.flow = make([]float64, na)
@@ -253,8 +256,8 @@ func (b *spxBasis) build(g *Graph, s, t int, want float64) {
 	b.n, b.m, b.s, b.t = n, m, s, t
 	b.ensure(n, m+g.n)
 	for a := 0; a < m; a++ {
-		b.tail[a] = g.edges[2*a+1].to
-		b.head[a] = g.edges[2*a].to
+		b.tail[a] = int32(g.edges[2*a+1].to)
+		b.head[a] = int32(g.edges[2*a].to)
 		b.cap[a] = g.edges[2*a].cap
 		b.cost[a] = g.edges[2*a].cost
 		b.flow[a] = 0
@@ -271,9 +274,9 @@ func (b *spxBasis) build(g *Graph, s, t int, want float64) {
 			sup = -want
 		}
 		if sup >= 0 {
-			b.tail[a], b.head[a] = v, root
+			b.tail[a], b.head[a] = int32(v), int32(root)
 		} else {
-			b.tail[a], b.head[a] = root, v
+			b.tail[a], b.head[a] = int32(root), int32(v)
 		}
 		b.cap[a] = math.Inf(1)
 		b.cost[a] = bigM
@@ -331,9 +334,9 @@ func (b *spxBasis) buildSeeded(want float64) {
 		a := b.m + v
 		e := excess[v]
 		if e >= 0 {
-			b.tail[a], b.head[a] = v, root
+			b.tail[a], b.head[a] = int32(v), int32(root)
 		} else {
-			b.tail[a], b.head[a] = root, v
+			b.tail[a], b.head[a] = int32(root), int32(v)
 		}
 		b.cap[a] = math.Inf(1)
 		b.flow[a] = math.Abs(e)
@@ -351,7 +354,7 @@ func (b *spxBasis) buildSeeded(want float64) {
 // exactly these arc endpoints (capacities and costs may differ).
 func (b *spxBasis) sameTopology(g *Graph) bool {
 	for a := 0; a < b.m; a++ {
-		if b.tail[a] != g.edges[2*a+1].to || b.head[a] != g.edges[2*a].to {
+		if int(b.tail[a]) != g.edges[2*a+1].to || int(b.head[a]) != g.edges[2*a].to {
 			return false
 		}
 	}
@@ -405,7 +408,7 @@ func (b *spxBasis) warmRestore(s, t int, want float64) bool {
 		a := b.pred[v]
 		e := excess[v]
 		f := e
-		if b.tail[a] != v {
+		if int(b.tail[a]) != v {
 			f = -e
 		}
 		if f < -tol || f > b.cap[a]+tol {
@@ -454,7 +457,7 @@ func (b *spxBasis) retree() {
 		idx++
 		for c := b.childHead[v]; c >= 0; c = b.childNext[c] {
 			a := b.pred[c]
-			if b.head[a] == c {
+			if int(b.head[a]) == c {
 				b.pot[c] = b.pot[v] + b.cost[a]
 			} else {
 				b.pot[c] = b.pot[v] - b.cost[a]
@@ -569,7 +572,7 @@ func (r *spxRun) pivot(eArc int) error {
 	if b.state[eArc] == spxUpper {
 		dir = -1
 	}
-	u, v := b.tail[eArc], b.head[eArc]
+	u, v := int(b.tail[eArc]), int(b.head[eArc])
 	first, second := u, v // flow change runs first -> second
 	if dir < 0 {
 		first, second = v, u
@@ -602,7 +605,7 @@ func (r *spxRun) pivot(eArc int) error {
 	for i, a := range cyc {
 		// Traversal here runs parent -> child; an arc oriented the same way
 		// (head at the child) gains flow.
-		if b.head[a] == cnode[i] {
+		if int(b.head[a]) == cnode[i] {
 			sgn = append(sgn, 1)
 		} else {
 			sgn = append(sgn, -1)
@@ -617,7 +620,7 @@ func (r *spxRun) pivot(eArc int) error {
 		cnode = append(cnode, w)
 		// Traversal runs child -> parent; an arc with its tail at the child
 		// gains flow.
-		if b.tail[a] == w {
+		if int(b.tail[a]) == w {
 			sgn = append(sgn, 1)
 		} else {
 			sgn = append(sgn, -1)

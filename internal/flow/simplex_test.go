@@ -388,9 +388,10 @@ func TestSimplexDegenerateRandomised(t *testing.T) {
 
 // --- warm-basis behaviour ------------------------------------------------
 
-// TestSimplexWarmMatchesColdUnderDrift mirrors the SSP resume test: a
-// transportation instance drifts for several slots, each re-solved warm from
-// the carried basis, and every warm cost must match a cold reference solve.
+// TestSimplexWarmMatchesColdUnderDrift drifts a transportation instance for
+// several slots — every cost jitters, and about a third of the supplies are
+// re-drawn each slot — re-solving each warm from the carried basis; every
+// warm cost must match the cold SSP reference solve.
 func TestSimplexWarmMatchesColdUnderDrift(t *testing.T) {
 	warmUsed := 0
 	for seed := int64(0); seed < 25; seed++ {

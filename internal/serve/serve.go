@@ -24,6 +24,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -79,12 +80,12 @@ type Config struct {
 	// Observer receives the serving layer's labeled series
 	// (serve.requests{cell,route}, serve.batch_size, serve.queue_depth,
 	// serve.rejected) and, when enabled, the per-stage latency attribution:
-	// serve.e2e_ms{route}, serve.queue_wait_ms{shard}, serve.batch_wait_ms,
-	// serve.solve_ms{tier,mode}, serve.reply_ms, serve.encode_ms. With a
-	// trace writer or live subscriber attached it also emits one
-	// request-scoped span tree per request (root "req" plus queue_wait /
-	// batch_wait / solve / reply / encode children). nil disables
-	// instrumentation.
+	// serve.e2e_ms{route}, serve.ingest_ms, serve.queue_wait_ms{shard},
+	// serve.batch_wait_ms, serve.solve_ms{tier,mode}, serve.reply_ms,
+	// serve.encode_ms. With a trace writer or live subscriber attached it
+	// also emits one request-scoped span tree per request (root "req" plus
+	// ingest / queue_wait / batch_wait / solve / reply / encode children).
+	// nil disables instrumentation.
 	Observer *obs.Observer
 	// SLO attaches a rolling-window SLO tracker fed by every request's
 	// end-to-end latency and outcome; /slo serves its report and /healthz
@@ -162,12 +163,13 @@ type reqCtx struct {
 	trace string    // trace ID; "" when no trace consumer is attached
 	route string    // "decide" | "observe"
 	start time.Time // ingest time; zero when timing is disabled entirely
-	// execEnd is stamped by the shard worker the moment the task's execution
-	// (and its stage bookkeeping) finished, just before the result is sent
-	// back; finish derives the reply stage — the cross-goroutine handoff the
-	// caller pays — from it. The worker's write happens-before the caller's
-	// read via the task's done channel.
+	// execEnd is stamped by the shard worker the moment the cell call
+	// returned, and replied by the caller the moment it received the result;
+	// finish derives the reply stage — the worker's stage bookkeeping plus
+	// the cross-goroutine handoff — from the two. The worker's write
+	// happens-before the caller's read via the task's done channel.
 	execEnd time.Time
+	replied time.Time
 }
 
 // timed reports whether this request records stage durations.
@@ -423,18 +425,23 @@ func (s *Server) worker(sh *shard) {
 	}
 }
 
-// executeTimed wraps execute with the per-stage attribution: queue wait
-// (enqueue → batch formation), batch wait (batch formation → this task's
-// execute), and solve (the cell call itself, labeled by the degradation-
-// ladder tier that produced it). Stages land in the labeled histograms and,
-// when a trace consumer is attached, as child spans of the request's trace.
+// executeTimed wraps execute with the per-stage attribution: ingest (request
+// start → enqueue: body decode, cell lookup, request counter, enqueue lock),
+// queue wait (enqueue → batch formation), batch wait (batch formation → this
+// task's execute), and solve (the cell call itself, labeled by the
+// degradation-ladder tier that produced it). Stages land in the labeled
+// histograms and, when a trace consumer is attached, as child spans of the
+// request's trace. The bookkeeping after the solve belongs to the reply
+// stage that finish records.
 func (s *Server) executeTimed(sh *shard, t task, deq time.Time) taskResult {
 	if !t.rc.timed() || deq.IsZero() {
 		return s.execute(t)
 	}
 	execStart := time.Now()
 	res := s.execute(t)
-	solve := time.Since(execStart)
+	t.rc.execEnd = time.Now()
+	solve := t.rc.execEnd.Sub(execStart)
+	ingest := t.enq.Sub(t.rc.start)
 	queueWait := deq.Sub(t.enq)
 	batchWait := execStart.Sub(deq)
 	sh.noteWait(queueWait)
@@ -445,9 +452,8 @@ func (s *Server) executeTimed(sh *shard, t task, deq time.Time) taskResult {
 			if res.dec.Solver != "" {
 				tier = res.dec.Solver
 			}
-			// Incremental solve mode: a skipped solve (unchanged slot or
-			// reduced-cost certificate) beats a warm-started one, which beats
-			// the cold default.
+			// Incremental solve mode: a skipped solve (unchanged slot) beats
+			// a warm-started one, which beats the cold default.
 			switch {
 			case res.dec.SkippedSolve:
 				mode = "skip"
@@ -457,16 +463,17 @@ func (s *Server) executeTimed(sh *shard, t task, deq time.Time) taskResult {
 		}
 	}
 	if s.obs.Enabled() {
+		s.obs.Observe("serve.ingest_ms", ms(ingest))
 		s.obs.ObserveL("serve.queue_wait_ms", ms(queueWait), obs.L("shard", sh.label)...)
 		s.obs.Observe("serve.batch_wait_ms", ms(batchWait))
 		s.obs.ObserveL("serve.solve_ms", ms(solve), obs.L("tier", tier, "mode", mode)...)
 	}
 	if t.rc.trace != "" && s.obs.TraceEnabled() {
+		s.emitSpan(t.rc, "ingest", res.slot, ms(ingest), nil)
 		s.emitSpan(t.rc, "queue_wait", res.slot, ms(queueWait), obs.Fields{"shard": sh.id})
 		s.emitSpan(t.rc, "batch_wait", res.slot, ms(batchWait), nil)
 		s.emitSpan(t.rc, "solve", res.slot, ms(solve), obs.Fields{"tier": tier, "mode": mode, "cell": t.cell.id})
 	}
-	t.rc.execEnd = time.Now()
 	return res
 }
 
@@ -502,16 +509,13 @@ func (s *Server) finish(rc *reqCtx, slot int, err error, degraded bool, encode t
 	if !rc.timed() {
 		return
 	}
-	now := time.Now()
-	e2e := now.Sub(rc.start)
-	// reply is the tail the caller pays after the worker finished: the done-
-	// channel handoff plus the caller goroutine's rescheduling (minus the
-	// separately measured encode, which also happens in that interval).
+	e2e := time.Since(rc.start)
+	// reply is the tail the caller pays after the cell call returned: the
+	// worker's stage bookkeeping, the done-channel handoff and the caller
+	// goroutine's rescheduling.
 	var reply time.Duration
 	if !rc.execEnd.IsZero() {
-		if reply = now.Sub(rc.execEnd) - encode; reply < 0 {
-			reply = 0
-		}
+		reply = rc.replied.Sub(rc.execEnd)
 	}
 	if s.obs.Enabled() {
 		s.obs.ObserveL("serve.e2e_ms", ms(e2e), obs.L("route", rc.route)...)
@@ -638,7 +642,11 @@ func (s *Server) call(t task) (taskResult, error) {
 	if err := s.submit(t); err != nil {
 		return taskResult{}, err
 	}
-	return <-t.done, nil
+	res := <-t.done
+	if t.rc.timed() {
+		t.rc.replied = time.Now()
+	}
+	return res, nil
 }
 
 // Decide plays the next slot of cell id, optionally overriding the slot's
@@ -812,6 +820,25 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes caps decide and observe request bodies; a larger body is
+// answered 413 before it reaches a cell.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a size-capped JSON request body into v. On failure it
+// has already answered the request: 413 past maxBodyBytes, 400 otherwise.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body over %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	}
+	return err
+}
+
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -819,8 +846,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := s.newReqCtx("decide")
 	var req decideRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if err := decodeBody(w, r, &req); err != nil {
 		s.finish(rc, 0, err, false, 0)
 		return
 	}
@@ -830,11 +856,11 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.finish(rc, 0, err, false, 0)
 		return
 	}
-	encode := s.writeJSONTimed(rc, w, struct {
+	encode, err := s.writeJSONTimed(rc, w, struct {
 		Cell int `json:"cell"`
 		*sim.CellDecision
 	}{req.Cell, dec})
-	s.finish(rc, dec.Slot, nil, dec.Degraded, encode)
+	s.finish(rc, dec.Slot, err, dec.Degraded, encode)
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
@@ -844,8 +870,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	rc := s.newReqCtx("observe")
 	var req observeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if err := decodeBody(w, r, &req); err != nil {
 		s.finish(rc, 0, err, false, 0)
 		return
 	}
@@ -868,11 +893,11 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		s.finish(rc, slot, err, false, 0)
 		return
 	}
-	encode := s.writeJSONTimed(rc, w, struct {
+	encode, err := s.writeJSONTimed(rc, w, struct {
 		Cell     int  `json:"cell"`
 		Observed bool `json:"observed"`
 	}{req.Cell, true})
-	s.finish(rc, slot, nil, false, encode)
+	s.finish(rc, slot, err, false, encode)
 }
 
 // handleSLO serves the SLO tracker's burn-rate report.
@@ -885,7 +910,7 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no SLO tracker configured (start mecd with -slo-latency-ms)", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, s.slo.Report())
+	_ = s.writeJSON(w, s.slo.Report()) // a failure is answered inside writeJSON
 }
 
 // handleHealthz is the readiness-aware health probe: a draining server
@@ -918,7 +943,7 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, struct {
+	_ = s.writeJSON(w, struct { // a failure is answered inside writeJSON
 		Shards   int        `json:"shards"`
 		BatchMax int        `json:"batch_max"`
 		UptimeS  float64    `json:"uptime_s"`
@@ -956,16 +981,15 @@ func (s *Server) retryAfterSecs(shard int) int {
 	return secs
 }
 
-// writeJSONTimed encodes the response body and returns the encode duration
-// when the request is timed (zero otherwise, so finish skips the stage).
-func (s *Server) writeJSONTimed(rc *reqCtx, w http.ResponseWriter, v any) time.Duration {
+// writeJSONTimed is writeJSON that also returns the encode duration when
+// the request is timed (zero otherwise, so finish skips the stage).
+func (s *Server) writeJSONTimed(rc *reqCtx, w http.ResponseWriter, v any) (time.Duration, error) {
 	if !rc.timed() {
-		writeJSON(w, v)
-		return 0
+		return 0, s.writeJSON(w, v)
 	}
 	start := time.Now()
-	writeJSON(w, v)
-	return time.Since(start)
+	err := s.writeJSON(w, v)
+	return time.Since(start), err
 }
 
 // writeErr maps serving errors onto HTTP statuses: backpressure → 429 with a
@@ -996,7 +1020,18 @@ func (s *Server) writeErr(w http.ResponseWriter, err error, cell int) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON encodes v in full before writing anything, so a value that
+// cannot be encoded (a NaN delay, for one) is answered 500 with the encoder's
+// error — counted as serve.encode_errors — instead of a 200 with an empty
+// body. The returned error is the encoder's.
+func (s *Server) writeJSON(w http.ResponseWriter, v any) error {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		s.obs.Inc("serve.encode_errors")
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+		return err
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client went away
+	return nil
 }

@@ -128,12 +128,10 @@ type CellDecision struct {
 	FallbackSolves int `json:"fallback_solves,omitempty"`
 	Shed           int `json:"shed,omitempty"`
 	// WarmSolve / SkippedSolve report the slot's relaxation reused the
-	// previous slot's optimisation state or was skipped outright; Rerouted
-	// counts requests the flow repair re-routed. All zero unless the policy
-	// opted into incremental solving.
+	// previous slot's optimisation state or was skipped outright. Both false
+	// unless the policy solves incrementally (the OL_GD family does).
 	WarmSolve    bool `json:"warm_solve,omitempty"`
 	SkippedSolve bool `json:"skipped_solve,omitempty"`
-	Rerouted     int  `json:"rerouted,omitempty"`
 	// FaultsInjected counts fault events injected this slot.
 	FaultsInjected int `json:"faults_injected,omitempty"`
 	// PlayedDelays maps station ID → the realised unit delay of every
@@ -159,7 +157,8 @@ type CellStatus struct {
 	OverloadSlots  int     `json:"overload_slots"`
 	FaultsInjected int     `json:"faults_injected"`
 	// WarmSolves / SkippedSolves count slots served by incremental
-	// warm-started and skipped solves (zero unless the policy opted in).
+	// warm-started and skipped solves (zero unless the policy solves
+	// incrementally, as the OL_GD family does).
 	WarmSolves     int  `json:"warm_solves,omitempty"`
 	SkippedSolves  int  `json:"skipped_solves,omitempty"`
 	PendingObserve bool `json:"pending_observe"`
@@ -399,7 +398,6 @@ func (c *Cell) Decide(volumes []float64) (*CellDecision, error) {
 	if deg.SkippedSolve {
 		res.SkippedSolves++
 	}
-	res.ReroutedRequests += deg.ReroutedRequests
 	degraded := decideFailed || deg.FallbackSolves > 0 || deg.RepairViolations > 0
 	if degraded {
 		res.DegradedSlots++
@@ -549,7 +547,6 @@ func (c *Cell) Decide(volumes []float64) (*CellDecision, error) {
 		Shed:           deg.RepairViolations,
 		WarmSolve:      deg.WarmSolve,
 		SkippedSolve:   deg.SkippedSolve,
-		Rerouted:       deg.ReroutedRequests,
 		FaultsInjected: faultCount(eff),
 		PlayedDelays:   make(map[int]float64, len(played)),
 		TrueVolumes:    append([]float64(nil), vols...),

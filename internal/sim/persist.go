@@ -84,7 +84,7 @@ func (c *Cell) ExportState() ([]byte, error) {
 	e.Int(c.res.RepairViolations)
 	e.Int(c.res.WarmSolves)
 	e.Int(c.res.SkippedSolves)
-	e.Int(c.res.ReroutedRequests)
+	e.Int(0) // retired rerouted-requests counter; keeps the snapshot layout
 	e.Int(c.res.DecideFailures)
 	e.Int(c.res.FaultsInjected)
 	e.Bool(c.res.Regret != nil)
@@ -108,8 +108,8 @@ func (c *Cell) ExportState() ([]byte, error) {
 // Checkpoint exports the cell's state AND resets the live policy's solver
 // warm state. The snapshot excludes solver workspaces, so a restored
 // process solves the next slot cold; resetting the live side too keeps the
-// two histories bit-identical from the checkpoint on. For non-incremental
-// policies the reset is a no-op (cold solves over reused buffers are
+// two histories bit-identical from the checkpoint on. For policies that
+// solve cold every slot the reset is a no-op (cold solves over reused buffers are
 // already bit-identical to fresh ones).
 func (c *Cell) Checkpoint() ([]byte, error) {
 	payload, err := c.ExportState()
@@ -196,7 +196,7 @@ func (c *Cell) RestoreState(payload []byte) error {
 	res.RepairViolations = d.Int()
 	res.WarmSolves = d.Int()
 	res.SkippedSolves = d.Int()
-	res.ReroutedRequests = d.Int()
+	d.Int() // retired rerouted-requests counter
 	res.DecideFailures = d.Int()
 	res.FaultsInjected = d.Int()
 	hasRegret := d.Bool()
@@ -544,7 +544,7 @@ func encodePending(e *persist.Encoder, p *pendingSlot) {
 	e.String(string(p.deg.Solver))
 	e.Bool(p.deg.WarmSolve)
 	e.Bool(p.deg.SkippedSolve)
-	e.Int(p.deg.ReroutedRequests)
+	e.Int(0) // retired rerouted-requests counter; keeps the snapshot layout
 	e.Float64(p.avg)
 	e.Bool(p.feasible)
 	e.Bool(p.decideFailed)
@@ -578,7 +578,7 @@ func decodePending(d *persist.Decoder, numStations int) (*pendingSlot, error) {
 	p.deg.Solver = caching.SolverKind(d.String())
 	p.deg.WarmSolve = d.Bool()
 	p.deg.SkippedSolve = d.Bool()
-	p.deg.ReroutedRequests = d.Int()
+	d.Int() // retired rerouted-requests counter
 	p.avg = d.Float64()
 	p.feasible = d.Bool()
 	p.decideFailed = d.Bool()

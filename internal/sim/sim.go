@@ -104,13 +104,10 @@ type Result struct {
 	RepairViolations int
 	// WarmSolves counts slots whose relaxation warm-started from the previous
 	// slot's optimisation state, and SkippedSolves slots whose relaxation was
-	// skipped outright (bit-identical inputs or a reduced-cost certificate).
-	// Both stay zero unless the policy opted into incremental solving.
+	// skipped outright (bit-identical inputs). Both stay zero unless the
+	// policy solves incrementally (the OL_GD family does).
 	WarmSolves    int
 	SkippedSolves int
-	// ReroutedRequests counts requests the incremental flow repair evicted
-	// and re-routed across the run.
-	ReroutedRequests int
 	// DecideFailures counts slots where the policy's Decide itself errored
 	// and the simulator substituted a greedy fallback assignment.
 	DecideFailures int

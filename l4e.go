@@ -25,7 +25,6 @@ import (
 
 	"github.com/mecsim/l4e/internal/algorithms"
 	"github.com/mecsim/l4e/internal/bandit"
-	"github.com/mecsim/l4e/internal/caching"
 	"github.com/mecsim/l4e/internal/faults"
 	"github.com/mecsim/l4e/internal/mec"
 	"github.com/mecsim/l4e/internal/obs"
@@ -478,8 +477,7 @@ func PolicyNames() []string {
 	return []string{
 		"OL_GD", "Greedy_GD", "Pri_GD", "OL_Reg", "OL_GAN", "Oracle",
 		"OL_GD/UCB", "OL_GD/Thompson", "OL_GD/const-eps", "OL_GD/ls",
-		"OL_GD/fresh-solve", "OL_GD/incremental",
-		"OL_GD/simplex", "OL_GD/incremental-simplex",
+		"OL_GD/fresh-solve",
 		"Greedy_GD/adaptive", "Pri_GD/adaptive",
 	}
 }
@@ -549,45 +547,13 @@ func (s *Scenario) NewPolicy(name string) (Policy, error) {
 		return p, nil
 	case "OL_GD/fresh-solve":
 		// OL_GD without the per-policy solver workspace: every slot allocates
-		// its solver state from scratch. The reference against which the
-		// workspace path's bit-identical determinism is tested.
+		// its solver state from scratch and solves cold. The reference the
+		// warm-started OL_GD is tested against.
 		cfg := algorithms.DefaultOLGDConfig(n)
 		cfg.Seed = s.Seed
 		cfg.Priors = priors
 		cfg.Name = "OL_GD/fresh-solve"
 		cfg.FreshSolves = true
-		return algorithms.NewOLGD(cfg)
-	case "OL_GD/incremental":
-		// OL_GD with cross-slot incremental solves: unchanged slots are
-		// skipped, drift warm-starts from the previous basis or repairs the
-		// carried flow. Opt-in because warm results match cold within solver
-		// tolerance rather than bit-for-bit.
-		cfg := algorithms.DefaultOLGDConfig(n)
-		cfg.Seed = s.Seed
-		cfg.Priors = priors
-		cfg.Name = "OL_GD/incremental"
-		cfg.Incremental = true
-		return algorithms.NewOLGD(cfg)
-	case "OL_GD/simplex":
-		// OL_GD with the network-simplex flow engine on cold per-slot solves.
-		// Both engines reach the same optimum, so decisions match OL_GD; what
-		// changes is how the solve is carried out (pivots vs SSP phases).
-		cfg := algorithms.DefaultOLGDConfig(n)
-		cfg.Seed = s.Seed
-		cfg.Priors = priors
-		cfg.Name = "OL_GD/simplex"
-		cfg.FlowEngine = caching.FlowEngineSimplex
-		return algorithms.NewOLGD(cfg)
-	case "OL_GD/incremental-simplex":
-		// OL_GD with incremental solving on the network-simplex engine: the
-		// spanning-tree basis from slot t seeds slot t+1, so a drifting slot
-		// re-optimises in a handful of pivots instead of ~110 SSP phases.
-		cfg := algorithms.DefaultOLGDConfig(n)
-		cfg.Seed = s.Seed
-		cfg.Priors = priors
-		cfg.Name = "OL_GD/incremental-simplex"
-		cfg.Incremental = true
-		cfg.FlowEngine = caching.FlowEngineSimplex
 		return algorithms.NewOLGD(cfg)
 	case "Greedy_GD":
 		return algorithms.NewGreedyGD(historicalEstimates(s.Net), false)

@@ -33,20 +33,15 @@ func newBenchCellPool(b *testing.B, n int, seed int64, policy string) []*Cell {
 // BenchmarkDecisionServer64Cells measures the mecd serving layer at the
 // acceptance scale: 64 concurrent cells closed-loop through the sharded
 // worker pool with batched solves, reporting sustained decisions/second.
-// The cold sub-benchmark re-solves every slot from scratch (the pre-warm
-// serving path); incremental runs the same pool with warm-started solves
-// (mecd -incremental), so the ratio of their decisions/s is the serving-
-// layer payoff of carrying solver state across slots. The simplex pair runs
-// the same ladder on the network-simplex flow engine (mecd -flow-engine=
-// simplex), cold and with the warm spanning-tree basis. Cells outlive their
-// traces via the horizon wrap, so repeated bench iterations keep advancing
-// the same pool.
+// The warm sub-benchmark is the served OL_GD, which carries its network-
+// simplex basis across slots; fresh-solve runs the same pool solving every
+// slot cold, so the ratio of their decisions/s is the serving-layer payoff
+// of carrying solver state across slots. Cells outlive their traces via the
+// horizon wrap, so repeated bench iterations keep advancing the same pool.
 func BenchmarkDecisionServer64Cells(b *testing.B) {
 	for _, mode := range []struct{ name, policy string }{
-		{"cold", "OL_GD"},
-		{"incremental", "OL_GD/incremental"},
-		{"simplex", "OL_GD/simplex"},
-		{"incremental-simplex", "OL_GD/incremental-simplex"},
+		{"fresh-solve", "OL_GD/fresh-solve"},
+		{"warm", "OL_GD"},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			benchDecisionServer64Cells(b, mode.policy)

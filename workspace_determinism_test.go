@@ -5,11 +5,12 @@ import (
 )
 
 // TestWorkspaceSolvesAreBitIdentical is the paired-seed determinism guard for
-// the allocation-free solver path: "OL_GD" (shared caching.Workspace, in-place
-// tableau/graph reuse) and "OL_GD/fresh-solve" (identical policy configured to
-// allocate from scratch every slot) must produce bit-identical per-slot delays
-// on the same scenario. Workspace reuse is a memory optimisation only — any
-// drift here means the rewrite changed arithmetic.
+// the allocation-free, warm-started solver path: "OL_GD" (shared
+// caching.Workspace, in-place tableau/graph reuse, basis carried across
+// slots) and "OL_GD/fresh-solve" (identical policy configured to allocate
+// from scratch and solve cold every slot) must produce bit-identical
+// per-slot delays on the same scenario, whose slot LPs have unique optima.
+// Any drift here means the reuse or the warm start changed the decisions.
 func TestWorkspaceSolvesAreBitIdentical(t *testing.T) {
 	o := NewObserver(ObserverOptions{})
 	results, err := obsTestScenario(t, o).Compare("OL_GD", "OL_GD/fresh-solve")
@@ -44,14 +45,14 @@ func TestWorkspaceSolvesAreBitIdentical(t *testing.T) {
 }
 
 // TestIncrementalRunIsDeterministic is the same guard for the warm-start
-// path: two runs of "OL_GD/incremental" on paired scenarios must be
-// bit-identical (carried bases and flow state are deterministic), the run
-// must actually warm-start, and the observer must surface the hits as
-// lp.warm_hits / flow.repairs counters.
+// path: two runs of "OL_GD" on paired scenarios must be bit-identical
+// (carried bases are deterministic), the run must actually warm-start, and
+// the observer must surface the hits as lp.warm_hits / flow.repairs
+// counters.
 func TestIncrementalRunIsDeterministic(t *testing.T) {
 	o := NewObserver(ObserverOptions{})
 	run := func() *Result {
-		results, err := obsTestScenario(t, o).Compare("OL_GD/incremental")
+		results, err := obsTestScenario(t, o).Compare("OL_GD")
 		if err != nil {
 			t.Fatal(err)
 		}
