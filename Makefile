@@ -4,7 +4,7 @@ GO ?= go
 # PR number stamped into the benchmark-trajectory file (BENCH_$(PR).json).
 PR ?= 10
 
-.PHONY: all build test test-short vet race bench bench-json bench-e2e figures examples fuzz chaos mecstat-smoke clean
+.PHONY: all build test test-short vet race bench bench-json figures examples fuzz chaos mecstat-smoke clean
 
 all: build vet test
 
@@ -38,17 +38,20 @@ chaos:
 	$(GO) test -race -run 'Chaos|SolveBudget' -v .
 
 # Fuzz the parsers that ingest external input: the trace-CSV reader, the
-# chaos-spec grammar (which must also round-trip through Schedule.Spec), and
-# the durable-state decoders (snapshot framing and WAL replay, which face
-# arbitrary torn/bit-flipped bytes after a crash) — plus the network-simplex
-# solver on arbitrary small graphs (never panics, invariants always hold,
-# agrees with SSP on non-negative costs).
+# chaos-spec grammar (which must also round-trip through Schedule.Spec), the
+# durable-state decoders (snapshot framing and WAL replay, which face
+# arbitrary torn/bit-flipped bytes after a crash), and the daemon's decide
+# and observe request bodies (no body may crash a shard worker) — plus the
+# network-simplex solver on arbitrary small graphs (never panics, invariants
+# always hold, agrees with SSP on non-negative costs).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzReadTraceCSV -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/faults/
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/persist/
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=$(FUZZTIME) ./internal/persist/
+	$(GO) test -fuzz=FuzzHandleDecide -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz=FuzzHandleObserve -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzMinCostFlowSimplex -fuzztime=$(FUZZTIME) ./internal/flow/
 
 # Full benchmark suite: regenerates every paper figure plus the ablations.
@@ -74,15 +77,6 @@ bench-json:
 	  $(GO) test -run '^$$' -bench 'DecisionServer64Cells' -benchmem -benchtime 15x . && \
 	  $(GO) test -run '^$$' -bench 'Fig|RegretBound|GammaSweep|ScheduleAblation|AdaptiveBaselines|OracleGap|WarmCacheAblation|FailureRobustness|ScheduledEvents|ObserverSimOverhead' -benchmem -benchtime 1x . ; } \
 		| $(GO) run ./cmd/benchjson -pr $(PR) -out BENCH_$(PR).json
-
-# End-to-end serving benchmark: launch mecd, drive it with cmd/mecload's
-# open-loop generator (fixed rate + saturation search), and merge the
-# E2EOpenLoop/E2ESaturation entries (e2e_p50_ms, e2e_p99_ms,
-# decisions_per_s_saturated) into BENCH_$(PR).json — run after bench-json so
-# benchdiff tracks the serving path alongside the micro/figure benches.
-# Tune via env: RATE, DURATION, CELLS, SAT_START, SAT_P99_MS, CHAOS.
-bench-e2e:
-	PR=$(PR) scripts/bench_e2e.sh
 
 # End-to-end observability smoke: a 5-policy chaos comparison with regret
 # tracking and the flight recorder, analysed by mecstat (text + JSON).

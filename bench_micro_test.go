@@ -110,9 +110,10 @@ func driftBenchVolumes(rng *rand.Rand, p *caching.Problem, base []float64) {
 	}
 }
 
-// incrementalBenchModes are the four solve paths the incremental benches pit
-// against each other. fresh/workspace/warm see the identical per-iteration
-// drift and differ only in how much state they carry across slots; skip
+// incrementalBenchModes are the four solve paths BenchmarkIncrementalFlow
+// pits against each other. fresh/workspace/warm see the identical
+// per-iteration drift and differ only in how much state they carry across
+// slots (workspace drops its basis with ResetWarm before every solve); skip
 // replays an unchanged slot, measuring pure change-detection overhead.
 var incrementalBenchModes = []string{"fresh", "workspace", "warm", "skip"}
 
@@ -134,7 +135,6 @@ func BenchmarkIncrementalFlow(b *testing.B) {
 			var ws *caching.Workspace
 			if mode != "fresh" {
 				ws = caching.NewWorkspace()
-				ws.EnableIncremental(mode == "warm" || mode == "skip")
 				if _, err := p.SolveLPFlowWS(ws); err != nil {
 					b.Fatal(err)
 				}
@@ -144,39 +144,10 @@ func BenchmarkIncrementalFlow(b *testing.B) {
 				if mode != "skip" {
 					driftBenchVolumes(rng, p, base)
 				}
+				if mode == "workspace" {
+					ws.ResetWarm()
+				}
 				if _, err := p.SolveLPFlowWS(ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkIncrementalExact measures the dense-simplex path at its dispatch
-// scale under cost-only drift (delays move, volumes fixed, so the constraint
-// matrix stays bitwise identical and the warm path can reuse the previous
-// basis): fresh vs workspace re-solves vs the basis-warm-started solve, plus
-// the unchanged-slot skip.
-func BenchmarkIncrementalExact(b *testing.B) {
-	for _, mode := range incrementalBenchModes {
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			p := benchCachingProblem(33, 8, 6, 3)
-			rng := rand.New(rand.NewSource(34))
-			var ws *caching.Workspace
-			if mode != "fresh" {
-				ws = caching.NewWorkspace()
-				ws.EnableIncremental(mode == "warm" || mode == "skip")
-				if _, err := p.SolveLPExactWS(ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if mode != "skip" {
-					driftBenchDelays(rng, p)
-				}
-				if _, err := p.SolveLPExactWS(ws); err != nil {
 					b.Fatal(err)
 				}
 			}

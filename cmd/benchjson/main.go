@@ -202,50 +202,9 @@ func mergeDuplicates(in []Benchmark) []Benchmark {
 	return out
 }
 
-// mergeReports folds the newly parsed report into an existing BENCH file's
-// report: existing entries are kept in place (replaced when the new run
-// re-measures the same name), new names append — so `make bench-e2e` can add
-// the serving-path entries to the file `make bench-json` wrote.
-func mergeReports(old, new *Report) *Report {
-	fresh := map[string]Benchmark{}
-	for _, b := range new.Benchmarks {
-		fresh[b.Name] = b
-	}
-	merged := make([]Benchmark, 0, len(old.Benchmarks)+len(new.Benchmarks))
-	for _, b := range old.Benchmarks {
-		if nb, ok := fresh[b.Name]; ok {
-			merged = append(merged, nb)
-			delete(fresh, b.Name)
-			continue
-		}
-		merged = append(merged, b)
-	}
-	for _, b := range new.Benchmarks {
-		if _, ok := fresh[b.Name]; ok {
-			merged = append(merged, b)
-		}
-	}
-	out := *new
-	out.Benchmarks = merged
-	if out.Goos == "" {
-		out.Goos = old.Goos
-	}
-	if out.Goarch == "" {
-		out.Goarch = old.Goarch
-	}
-	if out.CPU == "" {
-		out.CPU = old.CPU
-	}
-	if out.Pkg == "" {
-		out.Pkg = old.Pkg
-	}
-	return &out
-}
-
 func main() {
 	pr := flag.Int("pr", 0, "PR number recorded in the report")
 	out := flag.String("out", "", "output file (default stdout)")
-	merge := flag.Bool("merge", false, "fold into an existing -out file: same-name entries replaced, others kept")
 	flag.Parse()
 
 	rep, err := parse(os.Stdin)
@@ -257,17 +216,6 @@ func main() {
 	if len(rep.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
-	}
-	if *merge && *out != "" {
-		if data, err := os.ReadFile(*out); err == nil {
-			var old Report
-			if err := json.Unmarshal(data, &old); err != nil {
-				fmt.Fprintf(os.Stderr, "benchjson: -merge: existing %s is not a BENCH file: %v\n", *out, err)
-				os.Exit(1)
-			}
-			rep = mergeReports(&old, rep)
-			rep.PR = *pr
-		}
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

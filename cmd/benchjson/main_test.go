@@ -134,39 +134,6 @@ BenchmarkSolveLPFlow/workspace-8 60 720 ns/op
 	}
 }
 
-// TestMergeReports pins the -merge semantics: order-preserving replace of
-// re-measured names, append of new ones, header fields inherited when the
-// new run lacks them.
-func TestMergeReports(t *testing.T) {
-	old := &Report{
-		Goos: "linux", Goarch: "amd64", CPU: "Xeon", Pkg: "x",
-		Benchmarks: []Benchmark{
-			{Name: "SolveLPFlow/fresh", NsPerOp: 100, Samples: 3},
-			{Name: "E2EOpenLoop", NsPerOp: 999, Samples: 1},
-		},
-	}
-	fresh := &Report{Benchmarks: []Benchmark{
-		{Name: "E2EOpenLoop", NsPerOp: 500, Samples: 1},
-		{Name: "E2ESaturation", NsPerOp: 250, Samples: 1},
-	}}
-	got := mergeReports(old, fresh)
-	if len(got.Benchmarks) != 3 {
-		t.Fatalf("merged %d benchmarks, want 3", len(got.Benchmarks))
-	}
-	if got.Benchmarks[0].Name != "SolveLPFlow/fresh" || got.Benchmarks[0].NsPerOp != 100 {
-		t.Errorf("untouched entry = %+v", got.Benchmarks[0])
-	}
-	if got.Benchmarks[1].Name != "E2EOpenLoop" || got.Benchmarks[1].NsPerOp != 500 {
-		t.Errorf("re-measured entry not replaced in place: %+v", got.Benchmarks[1])
-	}
-	if got.Benchmarks[2].Name != "E2ESaturation" {
-		t.Errorf("new entry not appended: %+v", got.Benchmarks[2])
-	}
-	if got.Goos != "linux" || got.CPU != "Xeon" {
-		t.Errorf("header not inherited: %+v", got)
-	}
-}
-
 func TestParseBadValue(t *testing.T) {
 	if _, err := parse(strings.NewReader("BenchmarkX 10 abc ns/op\n")); err == nil {
 		t.Error("malformed value accepted")

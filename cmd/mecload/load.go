@@ -110,8 +110,8 @@ type report struct {
 	Routes map[string]obs.HDRSnapshot `json:"routes"`
 	Cells  []cellStat                 `json:"per_cell,omitempty"`
 
-	// routeRec holds the merged live recorders (not serialised) so callers
-	// (saturation search, tests) can query arbitrary quantiles.
+	// routeRec holds the merged live recorders (not serialised) so tests can
+	// query arbitrary quantiles.
 	routeRec map[string]*obs.HDR
 }
 

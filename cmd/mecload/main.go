@@ -11,14 +11,13 @@
 // optional Retry-After honouring), completed requests over -late-ms as
 // late.
 //
-// Modes:
+// Usage:
 //
 //	mecload -addr http://localhost:8370 -rate 500 -duration 30s
-//	mecload -saturate -sat-start 100 -sat-p99-ms 50        # find the knee
 //
 // Output: a human-readable report (stderr with -bench, stdout otherwise),
 // optional -json file, and with -bench go-test benchmark lines on stdout
-// for cmd/benchjson (see `make bench-e2e`).
+// for cmd/benchjson.
 package main
 
 import (
@@ -59,14 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed     = fs.Int64("seed", 1, "schedule RNG seed (conn i uses seed+i)")
 		jsonOut  = fs.String("json", "", "write the full report as JSON to this file")
 		bench    = fs.Bool("bench", false, "emit go-test benchmark lines on stdout (report moves to stderr)")
-
-		saturate  = fs.Bool("saturate", false, "search for the max sustainable rate instead of a single run")
-		satStart  = fs.Float64("sat-start", 0, "saturation: first offered rate (default -rate)")
-		satFactor = fs.Float64("sat-factor", 2, "saturation: rate multiplier between ramp steps")
-		satStep   = fs.Duration("sat-step", 5*time.Second, "saturation: measured time per step")
-		satP99    = fs.Float64("sat-p99-ms", 50, "saturation: fail a step when decide p99 exceeds this")
-		satSteps  = fs.Int("sat-max-steps", 12, "saturation: max ramp steps")
-		satRefine = fs.Int("sat-refine", 2, "saturation: bisection passes after the ramp brackets the knee")
 	)
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
@@ -94,35 +85,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		HonorRetryAfter: *honorRA,
 		LateMS:          *lateMS,
 		Seed:            *seed,
-	}
-
-	if *saturate {
-		sc := satConfig{
-			StartRate:    *satStart,
-			Factor:       *satFactor,
-			StepDuration: *satStep,
-			P99TargetMS:  *satP99,
-			MaxSteps:     *satSteps,
-			Refine:       *satRefine,
-		}
-		if sc.StartRate <= 0 {
-			sc.StartRate = *rate
-		}
-		res, err := runSaturation(ctx, cfg, sc, report)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(report, "mecload: max sustained %.1f decisions/s (offered %.1f/s, p99 %.3fms)\n",
-			res.MaxSustainedPerS, res.MaxOfferedPerS, res.P99AtMaxMS)
-		if *jsonOut != "" {
-			if err := writeJSONFile(*jsonOut, res); err != nil {
-				return err
-			}
-		}
-		if *bench {
-			res.writeBench(stdout)
-		}
-		return nil
 	}
 
 	rep, err := runLoad(ctx, cfg)

@@ -345,8 +345,15 @@ func (o *Oracle) Decide(view *SlotView) (*caching.Assignment, error) {
 // Observe implements Policy (the oracle has nothing to learn).
 func (o *Oracle) Observe(*Observation) {}
 
+// ResetWarmState implements WarmStateResetter (checkpoint barrier): the
+// Oracle's workspace carries a basis like any learner's, and a restored
+// cell's shadow Oracle starts cold.
+func (o *Oracle) ResetWarmState() { o.ws.ResetWarm() }
+
 var (
 	_ Policy = (*GreedyGD)(nil)
 	_ Policy = (*PriGD)(nil)
 	_ Policy = (*Oracle)(nil)
+
+	_ WarmStateResetter = (*Oracle)(nil)
 )

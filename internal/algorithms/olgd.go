@@ -42,9 +42,9 @@ type OLGDConfig struct {
 	// FreshSolves disables the per-policy solver workspace, allocating all
 	// solver state anew each slot, so every slot solves cold. The reference
 	// ablation for the warm-start determinism test: without it, the
-	// workspace carries the solver basis across slots
-	// (caching.Workspace.EnableIncremental), which reaches the same LP
-	// optimum but may pick a different optimal vertex where there are ties.
+	// workspace carries the network-simplex basis across slots, which
+	// reaches the same LP optimum but may pick a different optimal vertex
+	// where there are ties.
 	FreshSolves bool
 }
 
@@ -77,9 +77,9 @@ type OLGD struct {
 	src      *persist.CountingSource
 	name     string
 	observer *obs.Observer
-	// ws carries solver state (graph/tableau/basis) across slots in
-	// incremental mode; nil when cfg.FreshSolves asks for the
-	// allocate-per-slot, cold-solve reference behaviour.
+	// ws carries solver state (graph/tableau/basis) across slots; nil when
+	// cfg.FreshSolves asks for the allocate-per-slot, cold-solve reference
+	// behaviour.
 	ws *caching.Workspace
 	// lastEps/lastExplored snapshot the most recent Decide's epsilon_t-greedy
 	// branch for BanditState (the flight recorder reads it once per slot).
@@ -121,7 +121,6 @@ func NewOLGD(cfg OLGDConfig) (*OLGD, error) {
 	}
 	if !cfg.FreshSolves {
 		o.ws = caching.NewWorkspace()
-		o.ws.EnableIncremental(true)
 	}
 	return o, nil
 }

@@ -64,12 +64,11 @@ type DegradeReport struct {
 	// Solver is the backend that finally produced the slot's relaxation
 	// (empty for policies that never solve one).
 	Solver caching.SolverKind
-	// WarmSolve reports the slot's relaxation warm-started from the previous
-	// slot's optimisation state (incremental mode).
+	// WarmSolve reports the slot's relaxation re-optimised the network-simplex
+	// basis carried from the previous slot.
 	WarmSolve bool
 	// SkippedSolve reports the slot's relaxation was skipped outright
-	// because its inputs were bit-identical to the previous slot's
-	// (incremental mode).
+	// because its inputs were bit-identical to the previous slot's.
 	SkippedSolve bool
 }
 
@@ -185,8 +184,8 @@ func recordSolve(o *obs.Observer, policy string, stats caching.SolveStats) {
 		o.ObserveWith("lp.phase1_iterations", SolverCountBuckets, float64(stats.Phase1Iterations))
 	}
 	// Workspace economics: in-place rewrites vs rebuilds of the lowered
-	// instance, and flow solves where carried potentials replaced the
-	// Bellman-Ford pass.
+	// instance, and flow solves that re-optimised the carried network-simplex
+	// basis or abandoned it for a cold rebuild.
 	if stats.WorkspaceReused {
 		o.Inc("lp.workspace_reuses")
 	} else {
@@ -194,17 +193,9 @@ func recordSolve(o *obs.Observer, policy string, stats caching.SolveStats) {
 	}
 	if stats.WarmStarted {
 		o.Inc("flow.warm_starts")
-		// Incremental-mode economics: basis reuse on the exact backend's
-		// simplex and on the flow backend's network simplex.
-		switch stats.Solver {
-		case caching.SolverSimplex:
-			o.Inc("lp.warm_hits")
-		case caching.SolverFlow:
-			o.Inc("flow.repairs")
-		}
 	}
 	if stats.WarmFallback {
-		o.Inc("lp.warm_fallbacks")
+		o.Inc("flow.warm_fallbacks")
 	}
 	if stats.Skipped {
 		o.IncL("solve.skips", obs.L("reason", stats.SkipReason)...)

@@ -168,20 +168,18 @@ type SolveStats struct {
 	// graph in place (same shape as the previous solve on this workspace)
 	// instead of rebuilding it.
 	WorkspaceReused bool
-	// WarmStarted reports the solve reused optimisation state from the
-	// previous slot instead of starting from scratch: the previous optimal
-	// basis on the exact backend, or the carried spanning-tree basis on the
-	// flow backend. Requires Workspace.EnableIncremental; warm results agree
-	// with cold solves within the solver tolerance, not bit-for-bit.
+	// WarmStarted reports the flow backend re-optimised the spanning-tree
+	// basis carried from the workspace's previous solve instead of starting
+	// from scratch. Warm results agree with cold solves within the solver
+	// tolerance, not bit-for-bit.
 	WarmStarted bool
-	// WarmFallback reports an incremental warm-start attempt was abandoned
-	// (shape change, stale state, numerical trouble) and this result came
-	// from the cold rebuild that replaced it.
+	// WarmFallback reports a flow warm start was abandoned (the carried basis
+	// did not fit the graph, or it blew its pivot budget) and this result
+	// came from the cold rebuild that replaced it.
 	WarmFallback bool
 	// Skipped reports the solve was skipped outright and the previous slot's
 	// solution returned because every input was bit-identical — the result is
-	// exactly what a cold solve would produce. Requires
-	// Workspace.EnableIncremental.
+	// exactly what a cold solve would produce.
 	Skipped bool
 	// SkipReason is "unchanged" when Skipped is set.
 	SkipReason string
@@ -253,6 +251,15 @@ const _zeroCapOverload = 100
 // per-request service pattern — the lowered instance is rewritten in place
 // instead of rebuilt, reported via SolveStats.WorkspaceReused.
 //
+// Every workspace also solves incrementally, in two ways. A slot whose inputs
+// are bit-identical to the last successful solve's returns that solution
+// outright (SolveStats.Skipped), which is exact. On the flow backend any other
+// slot re-optimises the spanning-tree basis carried from the previous solve
+// (SolveStats.WarmStarted), which reaches the same optimal objective within
+// the solver tolerance but, where the LP has several optima, may pick a
+// different one. The exact backend always solves cold. A nil workspace, or a
+// ResetWarm before each solve, gives the cold reference.
+//
 // A Workspace is not safe for concurrent use, and the Fractional returned by
 // the *WS solvers aliases workspace memory: it is valid only until the next
 // solve on the same workspace.
@@ -280,9 +287,8 @@ type Workspace struct {
 	yRows [][]float64
 	yBack []float64
 
-	// Incremental-mode state (EnableIncremental): a snapshot of the inputs
-	// of the last successful solve. It gates the unchanged-slot skip.
-	incremental   bool
+	// A snapshot of the inputs of the last successful solve. It gates the
+	// unchanged-slot skip and, on the flow backend, the warm start.
 	prevKind      SolverKind // backend of the last successful solve ("" = none)
 	prevObjective float64
 	prevL         int
@@ -304,46 +310,21 @@ func NewWorkspace() *Workspace {
 	return &Workspace{flowWS: flow.NewWorkspace(), lpWS: lp.NewWorkspace()}
 }
 
-// EnableIncremental opts this workspace into cross-slot incremental solving:
-// unchanged slots return the cached solution, and any other slot re-solves
-// from the previous optimal basis — the dense simplex's on the exact backend,
-// the network simplex's spanning tree on the flow backend. Every incremental
-// path falls back to a cold rebuild when its preconditions fail, so results
-// are always valid. A warm solve reaches the same optimal objective as a cold
-// one within the solver tolerance; where the LP has several optima it may
-// pick a different one (the unchanged-slot skip alone is bit-identical). Off
-// by default, which keeps the *WS solvers bit-identical to their fresh-solve
-// counterparts. The OL_GD family of policies always turns it on.
-func (ws *Workspace) EnableIncremental(on bool) {
-	ws.incremental = on
-	ws.lpWS.EnableWarmStart(on)
-	if !on {
-		ws.prevKind = ""
-	}
-}
-
-// Incremental reports whether EnableIncremental is on.
-func (ws *Workspace) Incremental() bool { return ws.incremental }
-
 // ResetWarm drops all cross-slot incremental carryover — the cached
-// problem fingerprint/solution and the simplex basis — without changing
-// whether incremental mode is enabled: the next solve runs cold and warm
-// state re-accumulates from there. This is the checkpoint barrier of the
-// persistence layer: snapshots deliberately exclude solver workspaces, so
-// a restored process starts cold at the checkpoint slot; resetting the
-// live process at the same slot keeps the two solve histories identical.
+// problem fingerprint/solution and the network-simplex basis: the next solve
+// runs cold and warm state re-accumulates from there. This is the checkpoint
+// barrier of the persistence layer: snapshots deliberately exclude solver
+// workspaces, so a restored process starts cold at the checkpoint slot;
+// resetting the live process at the same slot keeps the two solve histories
+// identical.
 func (ws *Workspace) ResetWarm() {
 	ws.prevKind = ""
-	ws.lpWS.ResetWarmStart()
 	ws.flowWS.ResetBasis()
 }
 
 // noteSolved snapshots the solved problem's inputs for the next slot's
 // incremental checks.
 func (ws *Workspace) noteSolved(p *Problem, kind SolverKind, objective float64) {
-	if !ws.incremental {
-		return
-	}
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
 	ws.prevKind = kind
 	ws.prevObjective = objective
@@ -501,7 +482,7 @@ func (p *Problem) SolveLPExactWS(ws *Workspace) (*Fractional, error) {
 		ws = NewWorkspace()
 	}
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
-	if ws.incremental && ws.prevKind == SolverSimplex && ws.unchangedSince(p) {
+	if ws.prevKind == SolverSimplex && ws.unchangedSince(p) {
 		return ws.skippedResult(SolverSimplex, "unchanged",
 			ws.lpProb.NumVariables(), ws.lpProb.NumConstraints()), nil
 	}
@@ -623,8 +604,6 @@ func (p *Problem) SolveLPExactWS(ws *Workspace) (*Fractional, error) {
 		Variables:        prob.NumVariables(),
 		Constraints:      prob.NumConstraints(),
 		WorkspaceReused:  reused,
-		WarmStarted:      sol.WarmStarted,
-		WarmFallback:     sol.WarmFallback,
 	}
 	for l := 0; l < L; l++ {
 		for i := 0; i < N; i++ {
@@ -654,9 +633,9 @@ func (p *Problem) SolveLPFlow() (*Fractional, error) {
 // SolveLPFlowWS is SolveLPFlow with a reusable workspace, solved by the
 // network simplex (flow.MinCostFlowSimplexWS). The graph topology depends
 // only on (L, N), so when consecutive solves match, every edge is rewritten
-// in place via flow.Graph.SetEdge — no node or adjacency rebuild. In
-// incremental mode an unchanged slot skips outright, and any changed slot
-// re-optimises the spanning-tree basis carried from the previous solve
+// in place via flow.Graph.SetEdge — no node or adjacency rebuild. An
+// unchanged slot skips outright, and any changed slot re-optimises the
+// spanning-tree basis carried from the previous solve
 // (flow.MinCostFlowSimplexWarmWS), which handles its own staleness: a
 // topology change or unusable restored tree falls back to a cold basis
 // rebuild internally, reported via Stats.BasisRebuilt.
@@ -671,7 +650,7 @@ func (p *Problem) SolveLPFlowWS(ws *Workspace) (*Fractional, error) {
 	src, sink := 0, 1+L+N
 
 	warmEligible := false
-	if ws.incremental && ws.prevKind == SolverFlow && ws.graph != nil &&
+	if ws.prevKind == SolverFlow && ws.graph != nil &&
 		ws.graphL == L && ws.graphN == N {
 		if ws.unchangedSince(p) {
 			return ws.skippedResult(SolverFlow, "unchanged", L*N, L+N), nil

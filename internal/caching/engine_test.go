@@ -95,7 +95,6 @@ func TestPropertyFlowEnginesAgree(t *testing.T) {
 func TestPropertyLadderSimplexNeverFails(t *testing.T) {
 	sawFallback := false
 	ws := NewWorkspace()
-	ws.EnableIncremental(true)
 	for seed := int64(1000); seed < 1200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randProblem(rng, false)
@@ -172,7 +171,6 @@ func TestPropertyIncrementalSimplexDriftAgreesWithCold(t *testing.T) {
 		}
 
 		ws := NewWorkspace()
-		ws.EnableIncremental(true)
 		for step := 0; step < 6; step++ {
 			if step > 0 && rng.Float64() > 0.15 {
 				for i := range p.UnitDelayMS {

@@ -42,12 +42,11 @@ func TestIncrementalUnchangedSkipBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			ws := NewWorkspace()
-			ws.EnableIncremental(true)
 			first, err := p.SolveLPWS(ws)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Enabling incremental must not perturb the cold solve itself.
+			// The first solve on a workspace is cold and must equal a fresh one.
 			compareFractional(t, "first-vs-fresh", first, fresh)
 			want := copyFractional(first)
 
@@ -92,7 +91,6 @@ func TestIncrementalCertificateSkip(t *testing.T) {
 	}
 
 	ws := NewWorkspace()
-	ws.EnableIncremental(true)
 	if _, err := p.SolveLPFlowWS(ws); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +130,6 @@ func TestIncrementalRepairReroutesChangedDemand(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := randomProblem(rng, 12, 4, 2)
 	ws := NewWorkspace()
-	ws.EnableIncremental(true)
 	if _, err := p.SolveLPFlowWS(ws); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +164,6 @@ func TestIncrementalChaosSequenceSurvivesFaults(t *testing.T) {
 	savedCaps := append([]float64(nil), p.CapacityMHz...)
 
 	ws := NewWorkspace()
-	ws.EnableIncremental(true)
 	solve := func(step string) *Fractional {
 		f, err := p.SolveLPLadderWS(ws)
 		if err != nil {
@@ -230,24 +226,6 @@ func TestIncrementalChaosSequenceSurvivesFaults(t *testing.T) {
 		}
 		if step > 0 && !f.Stats.WarmStarted && !f.Stats.Skipped {
 			t.Fatalf("post-fault step %d still cold: %+v", step, f.Stats)
-		}
-	}
-}
-
-// TestIncrementalDisabledByDefault guards the opt-in: a plain workspace must
-// never skip or warm-start, keeping the documented bit-identity of the *WS
-// solvers with their fresh counterparts.
-func TestIncrementalDisabledByDefault(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	p := randomProblem(rng, 6, 4, 2)
-	ws := NewWorkspace()
-	for slot := 0; slot < 3; slot++ {
-		got, err := p.SolveLPWS(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Stats.Skipped || got.Stats.WarmStarted || got.Stats.WarmFallback {
-			t.Fatalf("slot %d: incremental stats on a default workspace: %+v", slot, got.Stats)
 		}
 	}
 }

@@ -290,7 +290,6 @@ func TestPropertyIncrementalDriftAgreesWithCold(t *testing.T) {
 		}
 
 		ws := NewWorkspace()
-		ws.EnableIncremental(true)
 		for step := 0; step < 6; step++ {
 			if step > 0 && rng.Float64() > 0.15 { // ~15% of slots are quiet
 				for i := range p.UnitDelayMS {

@@ -137,10 +137,8 @@ type Result struct {
 	// UsedBellmanFord reports whether negative edge costs forced the initial
 	// Bellman-Ford potential pass (the slow path).
 	UsedBellmanFord bool
-	// WarmStarted reports whether state carried in the Workspace from a
-	// previous solve was reused: potentials that replaced the Bellman-Ford
-	// pass (MinCostFlowWS), or the spanning-tree basis
-	// (MinCostFlowSimplexWarmWS).
+	// WarmStarted reports whether MinCostFlowSimplexWarmWS reused the
+	// spanning-tree basis carried in the Workspace from a previous solve.
 	WarmStarted bool
 	// Pivots counts network-simplex basis exchanges — the simplex solver's
 	// unit of work, the counterpart of Augmentations on the SSP path. It
@@ -221,19 +219,16 @@ func (q *pq) pop() pqItem {
 }
 
 // Workspace holds the per-solve scratch state for MinCostFlowWS — the
-// distance, parent, and potential arrays plus the priority queue backing — so
-// repeated solves over same-sized graphs allocate nothing. It also carries the
-// node potentials out of one solve into the next: on graphs with negative raw
-// costs they can replace the Bellman-Ford initialisation (see MinCostFlowWS).
-// A Workspace is not safe for concurrent use.
+// distance, parent, potential and settled arrays plus the priority queue
+// backing — so repeated solves over same-sized graphs allocate nothing. It
+// also holds the network-simplex basis carried between simplex solves. A
+// Workspace is not safe for concurrent use.
 type Workspace struct {
 	dist     []float64
 	prevEdge []int
 	pot      []float64
+	settled  []bool
 	heap     pq
-
-	warmPot  []float64
-	haveWarm bool
 
 	// spx is the network-simplex basis (spanning tree, arc states, node
 	// potentials) carried between MinCostFlowSimplexWS solves; see simplex.go.
@@ -249,21 +244,16 @@ func (ws *Workspace) ensure(n int) {
 		ws.dist = make([]float64, n)
 		ws.prevEdge = make([]int, n)
 		ws.pot = make([]float64, n)
+		ws.settled = make([]bool, n)
 	}
 	ws.dist = ws.dist[:n]
 	ws.prevEdge = ws.prevEdge[:n]
 	ws.pot = ws.pot[:n]
+	ws.settled = ws.settled[:n]
 	ws.heap = ws.heap[:0]
 }
 
-// Reset drops any carried-over potentials and the carried simplex basis (but
-// keeps the buffers).
-func (ws *Workspace) Reset() {
-	ws.haveWarm = false
-	ws.spx.have = false
-}
-
-// ResetBasis drops only the carried network-simplex basis, forcing the next
+// ResetBasis drops the carried network-simplex basis, forcing the next
 // simplex solve to rebuild from the artificial tree. The persistence layer
 // uses it as the warm-state barrier: snapshots exclude solver workspaces, so
 // resetting the live process at a checkpoint keeps its solve history
@@ -280,16 +270,10 @@ func (g *Graph) MinCostFlow(s, t int, want float64) (Result, error) {
 }
 
 // MinCostFlowWS is MinCostFlow with caller-owned scratch state. Reusing the
-// same Workspace across solves makes the solver allocation-free.
-//
-// Warm starts: potentials always begin at zero, exactly as in a fresh solve,
-// so on graphs with non-negative costs the result is bit-identical to
-// MinCostFlow. Only when negative raw costs would force the Bellman-Ford
-// pass does the workspace offer its carried potentials instead — and they are
-// adopted only if they are verifiably feasible over the current residual
-// graph (every residual edge has non-negative reduced cost). Infeasible or
-// absent carried potentials fall back to Bellman-Ford, reported via
-// Result.UsedBellmanFord as before.
+// same Workspace across solves makes the solver allocation-free and changes
+// nothing else: potentials always begin at zero, or at Bellman-Ford distances
+// when the graph has negative costs (Result.UsedBellmanFord), so the result
+// is bit-identical to MinCostFlow.
 func (g *Graph) MinCostFlowWS(s, t int, want float64, ws *Workspace) (Result, error) {
 	if s < 0 || s >= g.n || t < 0 || t >= g.n {
 		return Result{}, fmt.Errorf("flow: source %d or sink %d out of range", s, t)
@@ -309,21 +293,13 @@ func (g *Graph) MinCostFlowWS(s, t int, want float64, ws *Workspace) (Result, er
 	}
 	var res Result
 	if g.hasNegativeCost() {
-		if ws.haveWarm && len(ws.warmPot) == g.n && g.potentialsFeasible(ws.warmPot) {
-			copy(pot, ws.warmPot)
-			res.WarmStarted = true
-		} else {
-			if err := g.bellmanFord(s, pot); err != nil {
-				return Result{}, err
-			}
-			res.UsedBellmanFord = true
+		if err := g.bellmanFord(s, pot); err != nil {
+			return Result{}, err
 		}
+		res.UsedBellmanFord = true
 	}
 
 	g.augment(s, t, want, ws, pot, &res)
-
-	// Carry the final potentials into the next solve.
-	g.carryPotentials(ws, pot)
 
 	if !math.IsInf(want, 1) && res.Flow < want-1e-6 {
 		return res, ErrDisconnected
@@ -334,28 +310,35 @@ func (g *Graph) MinCostFlowWS(s, t int, want float64, ws *Workspace) (Result, er
 // augment runs the successive-shortest-path loop, pushing flow until want is
 // met or t becomes unreachable. pot must be feasible for the current residual
 // graph on entry.
+//
+// Dijkstra settles each node once. Feasible potentials only hold to within
+// _eps per edge, so a residual cycle of edges whose reduced costs sit just
+// inside -_eps can sum below -_eps: re-relaxing settled nodes around it would
+// "improve" distances on every lap and grow the heap without bound.
 func (g *Graph) augment(s, t int, want float64, ws *Workspace, pot []float64, res *Result) {
 	dist := ws.dist
 	prevEdge := ws.prevEdge
+	settled := ws.settled
 
 	for res.Flow < want-_eps {
 		// Dijkstra with reduced costs.
 		for i := range dist {
 			dist[i] = math.Inf(1)
 			prevEdge[i] = -1
+			settled[i] = false
 		}
 		dist[s] = 0
 		q := ws.heap[:0]
 		q.push(pqItem{node: s, dist: 0})
 		for len(q) > 0 {
-			it := q.pop()
-			if it.dist > dist[it.node]+_eps {
+			u := q.pop().node
+			if settled[u] {
 				continue
 			}
-			u := it.node
+			settled[u] = true
 			for _, id := range g.head[u] {
 				e := &g.edges[id]
-				if e.cap-e.flow <= _eps {
+				if e.cap-e.flow <= _eps || settled[e.to] {
 					continue
 				}
 				nd := dist[u] + e.cost + pot[u] - pot[e.to]
@@ -394,34 +377,6 @@ func (g *Graph) augment(s, t int, want float64, ws *Workspace, pot []float64, re
 		res.Flow += push
 		res.Augmentations++
 	}
-}
-
-// carryPotentials stores the final potentials for the next solve's warm start.
-func (g *Graph) carryPotentials(ws *Workspace, pot []float64) {
-	if cap(ws.warmPot) < g.n {
-		ws.warmPot = make([]float64, g.n)
-	}
-	ws.warmPot = ws.warmPot[:g.n]
-	copy(ws.warmPot, pot)
-	ws.haveWarm = true
-}
-
-// potentialsFeasible reports whether pot yields non-negative reduced costs on
-// every residual edge — the condition for Dijkstra to be exact without a
-// Bellman-Ford pass.
-func (g *Graph) potentialsFeasible(pot []float64) bool {
-	for u := 0; u < g.n; u++ {
-		for _, id := range g.head[u] {
-			e := &g.edges[id]
-			if e.cap-e.flow <= _eps {
-				continue
-			}
-			if e.cost+pot[u]-pot[e.to] < -_eps {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (g *Graph) hasNegativeCost() bool {

@@ -93,60 +93,9 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 			t.Fatalf("round %d: workspace solve = flow %x cost %x, fresh = flow %x cost %x",
 				round, got.Flow, got.Cost, want.Flow, want.Cost)
 		}
-		if got.WarmStarted || got.UsedBellmanFord {
-			t.Fatalf("round %d: non-negative-cost graph took warm/BF path: %+v", round, got)
+		if got.UsedBellmanFord {
+			t.Fatalf("round %d: non-negative-cost graph took the Bellman-Ford path: %+v", round, got)
 		}
-	}
-}
-
-// TestWarmStartAdoptedOnNegativeCosts re-solves a negative-cost graph through
-// a shared workspace: the second solve must adopt the carried potentials
-// (skipping Bellman-Ford) and still produce the same answer.
-func TestWarmStartAdoptedOnNegativeCosts(t *testing.T) {
-	g := NewGraph(3)
-	e0 := mustEdge(t, g, 0, 1, 3, -2)
-	e1 := mustEdge(t, g, 1, 2, 3, 1)
-
-	ws := NewWorkspace()
-	first, err := g.MinCostFlowWS(0, 2, 2, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !first.UsedBellmanFord || first.WarmStarted {
-		t.Fatalf("first solve = %+v, want Bellman-Ford init", first)
-	}
-	// Rewrite the same edges (zeroes flows) and solve again.
-	if err := g.SetEdge(e0, 3, -2); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetEdge(e1, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	second, err := g.MinCostFlowWS(0, 2, 2, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.WarmStarted || second.UsedBellmanFord {
-		t.Fatalf("second solve = %+v, want warm start without Bellman-Ford", second)
-	}
-	if second.Flow != first.Flow || second.Cost != first.Cost {
-		t.Fatalf("warm solve = flow %x cost %x, first = flow %x cost %x",
-			second.Flow, second.Cost, first.Flow, first.Cost)
-	}
-	// After Reset the workspace must fall back to Bellman-Ford again.
-	ws.Reset()
-	if err := g.SetEdge(e0, 3, -2); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetEdge(e1, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	third, err := g.MinCostFlowWS(0, 2, 2, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.WarmStarted || !third.UsedBellmanFord {
-		t.Fatalf("post-Reset solve = %+v, want Bellman-Ford init", third)
 	}
 }
 

@@ -227,17 +227,6 @@ type Solution struct {
 	// optimisation effort. Exposed for observability: a high phase-1 share
 	// means the instance is feasibility-hard, not optimisation-hard.
 	Phase1Iterations int
-	// WarmStarted reports the solve resumed from the previous solve's optimal
-	// basis (EnableWarmStart) instead of rebuilding the tableau and running
-	// phase 1. Warm results agree with cold solves on the objective within
-	// the solver tolerance but may differ in the last ulps (and may pick a
-	// different vertex among ties), so callers needing bit-identical replays
-	// must leave warm starts off.
-	WarmStarted bool
-	// WarmFallback reports that a warm start was attempted but abandoned
-	// (basis infeasible for the new data, budget exhausted, or the re-solve
-	// failed verification) and the result came from a cold rebuild.
-	WarmFallback bool
 }
 
 // Errors returned by Solve.
@@ -262,109 +251,10 @@ const (
 // it is valid only until the next SolveWS call on the same workspace.
 type Workspace struct {
 	t tableau
-
-	// Warm-start state: when enabled, a successful solve leaves the final
-	// tableau in place together with a structural snapshot of the problem
-	// that produced it. The next solve reuses the optimal basis if the matrix
-	// (coefficients, senses, column patterns, bounds) is unchanged — only
-	// costs and constraint RHS may move between slots.
-	warmEnable bool
-	warmValid  bool
-	snapStruct int
-	snapStarts []int
-	snapCols   []int
-	snapCoefs  []float64
-	snapSenses []Sense
-	snapRHS    []float64
-	snapUppers []float64
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
-
-// EnableWarmStart opts this workspace into reusing the previous solve's
-// optimal basis when the constraint matrix is unchanged between solves (see
-// Workspace). Warm-started results match cold solves within the solver
-// tolerance rather than bit-for-bit; turning warm starts off (the default)
-// keeps SolveWS bit-identical to Solve.
-func (ws *Workspace) EnableWarmStart(on bool) {
-	ws.warmEnable = on
-	if !on {
-		ws.warmValid = false
-	}
-}
-
-// WarmReady reports whether the workspace holds a reusable optimal basis.
-func (ws *Workspace) WarmReady() bool { return ws.warmValid }
-
-// ResetWarmStart invalidates the carried basis without changing whether
-// warm starts are enabled: the next solve runs cold and then resumes
-// accumulating warm state. The persistence layer calls this when a
-// checkpoint is taken — a restored process rebuilds its workspace cold, so
-// the live process must drop its basis at the same slot for the two warm
-// histories (and therefore the solves) to stay bit-identical.
-func (ws *Workspace) ResetWarmStart() { ws.warmValid = false }
-
-// snapshot records the problem structure (and current RHS) that produced the
-// tableau now held by the workspace, reusing buffers.
-func (ws *Workspace) snapshot(p *Problem) {
-	ws.snapStruct = len(p.costs)
-	nnz := 0
-	for _, con := range p.constraints {
-		nnz += len(con.Cols)
-	}
-	ws.snapStarts = growInts(ws.snapStarts, len(p.constraints)+1)
-	ws.snapCols = growInts(ws.snapCols, nnz)
-	ws.snapCoefs = growFloats(ws.snapCoefs, nnz)
-	if cap(ws.snapSenses) < len(p.constraints) {
-		ws.snapSenses = make([]Sense, len(p.constraints))
-	}
-	ws.snapSenses = ws.snapSenses[:len(p.constraints)]
-	ws.snapRHS = growFloats(ws.snapRHS, len(p.constraints))
-	ws.snapUppers = growFloats(ws.snapUppers, len(p.upperBounds))
-	at := 0
-	for i, con := range p.constraints {
-		ws.snapStarts[i] = at
-		copy(ws.snapCols[at:], con.Cols)
-		copy(ws.snapCoefs[at:], con.Coefs)
-		at += len(con.Cols)
-		ws.snapSenses[i] = con.Sense
-		ws.snapRHS[i] = con.RHS
-	}
-	ws.snapStarts[len(p.constraints)] = at
-	copy(ws.snapUppers, p.upperBounds)
-}
-
-// warmEligible reports whether p has the same matrix as the snapshot: equal
-// shape, senses, column patterns, coefficients, and upper bounds. Costs and
-// RHS are allowed to differ — they are exactly what the warm path repairs.
-func (ws *Workspace) warmEligible(p *Problem) bool {
-	if len(p.costs) != ws.snapStruct ||
-		len(p.constraints) != len(ws.snapStarts)-1 ||
-		len(p.upperBounds) != len(ws.snapUppers) {
-		return false
-	}
-	for j, u := range p.upperBounds {
-		if u != ws.snapUppers[j] && !(math.IsInf(u, 1) && math.IsInf(ws.snapUppers[j], 1)) {
-			return false
-		}
-	}
-	for i, con := range p.constraints {
-		if con.Sense != ws.snapSenses[i] {
-			return false
-		}
-		lo, hi := ws.snapStarts[i], ws.snapStarts[i+1]
-		if len(con.Cols) != hi-lo {
-			return false
-		}
-		for k, c := range con.Cols {
-			if c != ws.snapCols[lo+k] || con.Coefs[k] != ws.snapCoefs[lo+k] {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // Solve runs two-phase primal simplex and returns the optimal solution.
 // A nil error implies Status == StatusOptimal.
@@ -373,201 +263,19 @@ func (p *Problem) Solve() (*Solution, error) {
 }
 
 // SolveWS is Solve with caller-owned tableau storage. A nil workspace
-// allocates fresh buffers, matching Solve exactly. The pivot sequence is
-// independent of the workspace (buffers are fully re-initialised per solve),
-// so results are bit-identical either way — unless the workspace has opted
-// into warm starts via EnableWarmStart, in which case an unchanged matrix is
-// re-solved from the previous optimal basis (tolerance-identical, see
-// Solution.WarmStarted) and any warm-path trouble falls back to a cold solve.
+// allocates fresh buffers, matching Solve exactly. Every solve rebuilds the
+// tableau and runs both phases with its own pivot budget, so the pivot
+// sequence is independent of the workspace and results are bit-identical
+// either way.
 func (p *Problem) SolveWS(ws *Workspace) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	warmFellBack := false
-	if ws != nil && ws.warmEnable && ws.warmValid && ws.warmEligible(p) {
-		// The attempt consumes the stored basis either way: on success the
-		// final tableau becomes the next solve's start state, on failure the
-		// cold rebuild below re-establishes it.
-		ws.warmValid = false
-		sol, err, ok := p.solveWarm(ws)
-		if ok {
-			return sol, err
-		}
-		warmFellBack = true
 	}
 	t, err := newTableau(p, ws)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := t.solve()
-	if ws != nil && ws.warmEnable && sol != nil {
-		sol.WarmFallback = warmFellBack
-		if err == nil && sol.Status == StatusOptimal {
-			ws.snapshot(p)
-			ws.warmValid = true
-		}
-	}
-	return sol, err
-}
-
-// solveWarm re-solves from the optimal basis left in the workspace tableau by
-// the previous solve. The matrix is unchanged (warmEligible), so the final
-// tableau rows are still B⁻¹A; only b and the cost row need repair:
-//
-//   - new costs are copied in and phase-2 pricing resumes directly (phase 1
-//     is skipped entirely — the basis is known);
-//   - new RHS is propagated through the basis inverse recovered from the
-//     identity columns recorded at build time (b = Σ_r B⁻¹e_r · sign_r·rhs_r);
-//   - a primal-feasible b re-optimises with primal simplex; a primal-
-//     infeasible b under dual-feasible pricing is repaired with dual simplex
-//     first; anything else falls back cold (ok=false).
-//
-// Optimal warm results are re-verified against the original constraints and
-// bounds before being returned; verification failure also falls back cold.
-func (p *Problem) solveWarm(ws *Workspace) (sol *Solution, err error, ok bool) {
-	t := &ws.t
-
-	// Satellite of the warm layer: the pivot budget is per solve, never
-	// accumulated across warm-started solves.
-	t.maxIter = 50 * (t.m + t.n + 10)
-	if p.iterLimit > 0 {
-		t.maxIter = p.iterLimit
-	}
-	copy(t.costs, p.costs)
-
-	// Repair b only if some constraint RHS actually moved; bound-row RHS
-	// (upper bounds) are matrix-equal by eligibility.
-	rhsChanged := false
-	for i, con := range p.constraints {
-		if con.RHS != ws.snapRHS[i] {
-			rhsChanged = true
-			break
-		}
-	}
-	if rhsChanged {
-		t.bp = growFloats(t.bp, t.m)
-		r := 0
-		for _, con := range p.constraints {
-			t.bp[r] = t.rowSign[r] * con.RHS
-			r++
-		}
-		for _, u := range p.upperBounds {
-			if !math.IsInf(u, 1) {
-				t.bp[r] = u // rowSign is +1: Validate enforces u >= 0
-				r++
-			}
-		}
-		for i := 0; i < t.m; i++ {
-			acc := 0.0
-			for j := 0; j < t.m; j++ {
-				acc += t.at(i, t.idCol[j]) * t.bp[j]
-			}
-			t.b[i] = acc
-		}
-	}
-
-	obj := func(col int) float64 {
-		if col < t.nStruct {
-			return t.costs[col]
-		}
-		return 0
-	}
-
-	primalFeasible := true
-	for i := 0; i < t.m; i++ {
-		if t.b[i] < -_eps {
-			primalFeasible = false
-			break
-		}
-	}
-	iters := 0
-	if !primalFeasible {
-		rc := t.rc[:t.n]
-		t.reducedCosts(obj, t.n, rc)
-		for j := 0; j < t.n; j++ {
-			if rc[j] < -_eps {
-				// Neither primal- nor dual-feasible: not repairable in place.
-				return nil, nil, false
-			}
-		}
-		status, dualIters, derr := t.dualIterate(obj, t.n)
-		iters += dualIters
-		if derr != nil {
-			if errors.Is(derr, ErrIterLimit) && p.iterLimit > 0 {
-				return &Solution{Status: status, Iterations: iters, WarmStarted: true}, derr, true
-			}
-			return nil, nil, false
-		}
-	}
-	status, primalIters, perr := t.iterate(obj, t.n)
-	iters += primalIters
-	if perr != nil {
-		if errors.Is(perr, ErrIterLimit) && p.iterLimit > 0 {
-			// An explicit caller budget exhausted on the warm path is reported
-			// as such (the degradation ladder treats it as a fallback signal);
-			// exhausting the default budget means cycling — solve cold instead.
-			return &Solution{Status: status, Iterations: iters, WarmStarted: true}, perr, true
-		}
-		return nil, nil, false
-	}
-
-	t.x = growFloats(t.x, t.nStruct)
-	x := t.x
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] < t.nStruct {
-			x[t.basis[i]] = t.b[i]
-		}
-	}
-	if !p.verify(x) {
-		return nil, nil, false
-	}
-	for i := range ws.snapRHS {
-		ws.snapRHS[i] = p.constraints[i].RHS
-	}
-	ws.warmValid = true
-	return &Solution{
-		Status:      StatusOptimal,
-		Objective:   t.objectiveValue(obj),
-		X:           x,
-		Iterations:  iters,
-		WarmStarted: true,
-	}, nil, true
-}
-
-// verify checks x against the problem's constraints and bounds within a
-// relative tolerance — the exactness re-check guarding every warm result.
-func (p *Problem) verify(x []float64) bool {
-	const tol = 1e-6
-	for j, v := range x {
-		if v < -tol || v > p.upperBounds[j]+tol*(1+math.Abs(p.upperBounds[j])) {
-			return false
-		}
-		if math.IsNaN(v) {
-			return false
-		}
-	}
-	for _, con := range p.constraints {
-		lhs := 0.0
-		for k, c := range con.Cols {
-			lhs += con.Coefs[k] * x[c]
-		}
-		slack := tol * (1 + math.Abs(con.RHS))
-		switch con.Sense {
-		case LE:
-			if lhs > con.RHS+slack {
-				return false
-			}
-		case GE:
-			if lhs < con.RHS-slack {
-				return false
-			}
-		case EQ:
-			if math.Abs(lhs-con.RHS) > slack {
-				return false
-			}
-		}
-	}
-	return true
+	return t.solve()
 }
 
 // tableau is the dense standard-form representation used by the solver:
@@ -583,18 +291,9 @@ type tableau struct {
 	nStruct int
 	basis   []int // basis[i] = column basic in row i
 	maxIter int
-	// Warm-start bookkeeping, recorded at build time: rowSign is the RHS
-	// normalisation sign applied to each row, and idCol is the column whose
-	// initial tableau column was the identity vector e_row (the slack for
-	// rows normalised to <=, the artificial otherwise). After any pivot
-	// sequence column idCol[r] holds B⁻¹e_r, which lets a warm solve rebuild
-	// b = B⁻¹·rhs for new RHS values without refactorising.
-	rowSign []float64
-	idCol   []int
 	// scratch reused across solves when the tableau lives in a Workspace.
 	rc []float64
 	x  []float64
-	bp []float64
 }
 
 // growFloats returns buf resized to n, reusing its backing array when large
@@ -653,8 +352,6 @@ func newTableau(p *Problem, ws *Workspace) (*tableau, error) {
 	t.basis = growInts(t.basis, m)
 	t.rc = growFloats(t.rc, width)
 	t.costs = growFloats(t.costs, nStruct)
-	t.rowSign = growFloats(t.rowSign, m)
-	t.idCol = growInts(t.idCol, m)
 	copy(t.costs, p.costs)
 
 	slackCol := nStruct
@@ -671,7 +368,6 @@ func newTableau(p *Problem, ws *Workspace) (*tableau, error) {
 			row[c] += sign * coefs[k]
 		}
 		t.b[i] = rhs
-		t.rowSign[i] = sign
 		if sign < 0 {
 			switch sense {
 			case LE:
@@ -685,20 +381,17 @@ func newTableau(p *Problem, ws *Workspace) (*tableau, error) {
 			row[slackCol] = 1
 			// Slack can start basic; no artificial needed.
 			t.basis[i] = slackCol
-			t.idCol[i] = slackCol
 			slackCol++
 		case GE:
 			row[slackCol] = -1
 			slackCol++
 			row[artCol] = 1
 			t.basis[i] = artCol
-			t.idCol[i] = artCol
 			artCol++
 			t.nArt++
 		case EQ:
 			row[artCol] = 1
 			t.basis[i] = artCol
-			t.idCol[i] = artCol
 			artCol++
 			t.nArt++
 		}
@@ -838,53 +531,6 @@ func (t *tableau) iterate(obj func(col int) float64, limit int) (Status, int, er
 		} else {
 			stall++
 		}
-	}
-}
-
-// dualIterate runs dual simplex with the given objective restricted to
-// columns [0, limit): starting from a dual-feasible (priced-out) basis with
-// negative b entries, it drives b non-negative while keeping reduced costs
-// non-negative — the standard repair after an RHS change invalidates primal
-// feasibility of an optimal basis. Leaving row: most negative b (ties to the
-// lowest row). Entering column: minimum ratio rc_j / -a_rj over a_rj < 0
-// (ties to the lowest column). No eligible column means the problem is
-// primal-infeasible (dual unbounded).
-func (t *tableau) dualIterate(obj func(col int) float64, limit int) (Status, int, error) {
-	rc := t.rc[:limit]
-	iters := 0
-	for {
-		if iters >= t.maxIter {
-			return StatusIterLimit, iters, ErrIterLimit
-		}
-		row := -1
-		worst := -_eps
-		for i := 0; i < t.m; i++ {
-			if t.b[i] < worst {
-				worst = t.b[i]
-				row = i
-			}
-		}
-		if row < 0 {
-			return StatusOptimal, iters, nil
-		}
-		t.reducedCosts(obj, limit, rc)
-		col := -1
-		best := math.Inf(1)
-		for j := 0; j < limit; j++ {
-			arj := t.at(row, j)
-			if arj < -_pivotEps {
-				ratio := rc[j] / -arj
-				if ratio < best-_eps || (ratio < best+_eps && (col < 0 || j < col)) {
-					best = ratio
-					col = j
-				}
-			}
-		}
-		if col < 0 {
-			return StatusInfeasible, iters, ErrInfeasible
-		}
-		t.pivot(row, col)
-		iters++
 	}
 }
 

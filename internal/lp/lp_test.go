@@ -406,3 +406,93 @@ func BenchmarkSolveMedium(b *testing.B) {
 		}
 	}
 }
+
+// randBoundedProblem builds a feasible, bounded random LP: all variables
+// carry upper bounds (so negative costs stay bounded) and all constraints are
+// LE/GE mixes with non-negative RHS.
+func randBoundedProblem(rng *rand.Rand) *Problem {
+	p := NewProblem()
+	n := 3 + rng.Intn(6)
+	for j := 0; j < n; j++ {
+		p.AddBoundedVariable(rng.Float64()*10-5, 1+rng.Float64()*4, "")
+	}
+	m := 2 + rng.Intn(4)
+	for i := 0; i < m; i++ {
+		cols := make([]int, 0, n)
+		coefs := make([]float64, 0, n)
+		for j := 0; j < n; j++ {
+			if rng.Float64() < 0.6 {
+				cols = append(cols, j)
+				coefs = append(coefs, rng.Float64()*3)
+			}
+		}
+		if len(cols) == 0 {
+			cols = append(cols, rng.Intn(n))
+			coefs = append(coefs, 1)
+		}
+		// LE with generous RHS keeps x=0 feasible; sprinkle GE rows with tiny
+		// RHS that the bounds can always satisfy.
+		sense := LE
+		rhs := 5 + rng.Float64()*10
+		if rng.Float64() < 0.3 {
+			sense = GE
+			rhs = rng.Float64() * 0.5
+		}
+		if err := p.AddConstraint(cols, coefs, sense, rhs); err != nil {
+			panic(err)
+		}
+	}
+	return p
+}
+
+func TestWarmIterBudgetResetsPerSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := randBoundedProblem(rng)
+	// Establish how many pivots one re-solve needs, then grant a budget
+	// covering a single solve but far below the sum over many solves on one
+	// workspace: every solve must stay within it independently.
+	ws := NewWorkspace()
+	if _, err := p.SolveWS(ws); err != nil {
+		t.Fatal(err)
+	}
+	maxIters := 0
+	for step := 0; step < 12; step++ {
+		for j := 0; j < p.NumVariables(); j++ {
+			if err := p.SetCost(j, rng.Float64()*10-5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sol, err := p.SolveWS(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Iterations > maxIters {
+			maxIters = sol.Iterations
+		}
+	}
+	budget := maxIters + 5
+	if err := p.SetIterLimit(budget); err != nil {
+		t.Fatal(err)
+	}
+	rng = rand.New(rand.NewSource(7))
+	ws = NewWorkspace()
+	if _, err := p.SolveWS(ws); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for step := 0; step < 12; step++ {
+		for j := 0; j < p.NumVariables(); j++ {
+			if err := p.SetCost(j, rng.Float64()*10-5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sol, err := p.SolveWS(ws)
+		if err != nil {
+			t.Fatalf("step %d: budget %d not honoured per solve: %v", step, budget, err)
+		}
+		total += sol.Iterations
+	}
+	if total <= budget {
+		t.Skipf("drift too cheap to prove accumulation (total %d <= budget %d)", total, budget)
+	}
+}

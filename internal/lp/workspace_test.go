@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -143,4 +145,150 @@ func TestWorkspaceShapeChange(t *testing.T) {
 			t.Fatalf("dims %v: objective %x (ws) vs %x (fresh)", dims, got.Objective, want.Objective)
 		}
 	}
+}
+
+// solveBothWays solves p on the given (already used) workspace and afresh,
+// and fails unless the two agree bit for bit: a workspace carries storage
+// from one solve to the next, never a basis.
+func solveBothWays(t *testing.T, label string, p *Problem, ws *Workspace) *Solution {
+	t.Helper()
+	want, wantErr := p.Solve()
+	got, err := p.SolveWS(ws)
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("%s: workspace error %v, fresh error %v", label, err, wantErr)
+	}
+	if err != nil {
+		return got
+	}
+	if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) || got.Iterations != want.Iterations {
+		t.Fatalf("%s: workspace objective %x in %d pivots, fresh %x in %d",
+			label, got.Objective, got.Iterations, want.Objective, want.Iterations)
+	}
+	for j := range want.X {
+		if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+			t.Fatalf("%s: x[%d] = %x (workspace) vs %x (fresh)", label, j, got.X[j], want.X[j])
+		}
+	}
+	return got
+}
+
+// TestWarmDriftAgreesWithCold re-solves random bounded LPs with LE and GE
+// rows on one workspace while costs drift every step and RHS every other
+// step: each re-solve must equal a cold solve bit for bit.
+func TestWarmDriftAgreesWithCold(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := randBoundedProblem(rng)
+		ws := NewWorkspace()
+		solveBothWays(t, "initial", p, ws)
+		for step := 0; step < 8; step++ {
+			for j := 0; j < p.NumVariables(); j++ {
+				if err := p.SetCost(j, rng.Float64()*10-5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if step%2 == 1 {
+				for i := 0; i < p.NumConstraints(); i++ {
+					if err := p.SetConstraintRHS(i, p.constraints[i].RHS*(0.7+0.6*rng.Float64())); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			solveBothWays(t, "drift", p, ws)
+		}
+	}
+}
+
+// TestWarmEqualityRowsAgree flips which variable of an equality row is cheap
+// between two solves on one workspace.
+func TestWarmEqualityRowsAgree(t *testing.T) {
+	p := NewProblem()
+	p.AddBoundedVariable(1, 1, "x1")
+	p.AddBoundedVariable(2, 1, "x2")
+	if err := p.AddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 1); err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	solveBothWays(t, "initial", p, ws)
+	if err := p.SetCost(0, 5); err != nil { // now x2 is the cheap one
+		t.Fatal(err)
+	}
+	if sol := solveBothWays(t, "flipped", p, ws); math.Abs(sol.Objective-2) > 1e-9 {
+		t.Fatalf("objective %v, want 2", sol.Objective)
+	}
+}
+
+// TestWarmFallsBackOnMatrixChange rewrites a constraint coefficient between
+// solves on one workspace.
+func TestWarmFallsBackOnMatrixChange(t *testing.T) {
+	p := NewProblem()
+	p.AddBoundedVariable(-1, 5, "x1")
+	p.AddBoundedVariable(-2, 5, "x2")
+	if err := p.AddConstraint([]int{0, 1}, []float64{1, 1}, LE, 6); err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	solveBothWays(t, "initial", p, ws)
+	p.ConstraintCoefs(0)[1] = 2
+	solveBothWays(t, "matrix change", p, ws)
+	if err := p.SetCost(0, -3); err != nil {
+		t.Fatal(err)
+	}
+	solveBothWays(t, "cost change", p, ws)
+}
+
+// TestWarmInfeasibleFallsBackCold makes a solved problem infeasible and then
+// feasible again on one workspace: the infeasible solve must report
+// ErrInfeasible, and the recovery must equal a cold solve.
+func TestWarmInfeasibleFallsBackCold(t *testing.T) {
+	p := NewProblem()
+	p.AddBoundedVariable(1, 1, "x1")
+	p.AddBoundedVariable(1, 1, "x2")
+	if err := p.AddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 1); err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	solveBothWays(t, "initial", p, ws)
+	// RHS beyond the variable bounds: infeasible.
+	if err := p.SetConstraintRHS(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.SolveWS(ws); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+	if err := p.SetConstraintRHS(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if sol := solveBothWays(t, "recovered", p, ws); math.Abs(sol.Objective-1) > 1e-9 {
+		t.Fatalf("recovered objective %v, want 1", sol.Objective)
+	}
+}
+
+// TestWarmExplicitIterLimitSurfacesOnWarmPath gives a re-solve on a used
+// workspace a one-pivot budget: it must surface ErrIterLimit, and lifting
+// the budget must give the cold answer.
+func TestWarmExplicitIterLimitSurfacesOnWarmPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p := randBoundedProblem(rng)
+	ws := NewWorkspace()
+	solveBothWays(t, "initial", p, ws)
+	for j := 0; j < p.NumVariables(); j++ {
+		if err := p.SetCost(j, -10*(1+rng.Float64())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.SetIterLimit(1); err != nil {
+		t.Fatal(err)
+	}
+	sol, err := p.SolveWS(ws)
+	if !errors.Is(err, ErrIterLimit) {
+		t.Fatalf("one-pivot budget: err = %v, want ErrIterLimit", err)
+	}
+	if sol == nil || sol.Status != StatusIterLimit {
+		t.Fatalf("sol = %+v, want StatusIterLimit", sol)
+	}
+	if err := p.SetIterLimit(0); err != nil {
+		t.Fatal(err)
+	}
+	solveBothWays(t, "recovered", p, ws)
 }

@@ -135,3 +135,43 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Fatalf("decides after one decide = %d, want 1", st.Decides)
 	}
 }
+
+// TestObserveRejectsUnknownStation posts feedback for stations outside the
+// cell's network after a decide. Each must answer 400 without touching the
+// cell (slot, counters and the pending decision stay as they were), and the
+// shard worker must survive to serve the next decide.
+func TestObserveRejectsUnknownStation(t *testing.T) {
+	s, err := New(Config{Shards: 1}, newCellPool(t, 1, 790))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer shutdownNow(t, s)
+	defer ts.Close()
+
+	resp := postJSON(t, ts.URL+"/v1/decide", `{"cell":0}`)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("decide: %d: %s", resp.StatusCode, body)
+	}
+	before := s.Cells()[0].CellStatus
+	if !before.PendingObserve {
+		t.Fatal("no decision pending after a decide")
+	}
+	for _, id := range []string{"999", "-1"} {
+		resp := postJSON(t, ts.URL+"/v1/observe", fmt.Sprintf(`{"cell":0,"delays":{%q:5}}`, id))
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("observe station %s: %d, want 400: %s", id, resp.StatusCode, body)
+		}
+		if after := s.Cells()[0].CellStatus; after != before {
+			t.Fatalf("observe station %s changed the cell: %+v, was %+v", id, after, before)
+		}
+	}
+	resp = postJSON(t, ts.URL+"/v1/decide", `{"cell":0}`)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("decide after rejected observes: %d: %s", resp.StatusCode, body)
+	}
+	if st := s.Cells()[0]; st.Slot != 1 || st.Decides != 2 || st.Observes != 1 {
+		t.Fatalf("after the second decide: %+v, want slot 1, 2 decides, 1 observe", st.CellStatus)
+	}
+}

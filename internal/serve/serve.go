@@ -1013,7 +1013,7 @@ func (s *Server) writeErr(w http.ResponseWriter, err error, cell int) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, sim.ErrNoPendingObserve):
 		http.Error(w, err.Error(), http.StatusConflict)
-	case errors.Is(err, sim.ErrBadVolumes), isLookupErr(err):
+	case errors.Is(err, sim.ErrBadVolumes), errors.Is(err, sim.ErrBadStation), isLookupErr(err):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -21,7 +21,7 @@ import (
 // newCellPool builds n independent cells over small per-cell scenarios with
 // deterministic seeds (cell i uses seedBase+i throughout), mirroring how
 // cmd/mecd provisions its pool.
-func newCellPool(t *testing.T, n int, seedBase int64) []*sim.Cell {
+func newCellPool(t testing.TB, n int, seedBase int64) []*sim.Cell {
 	t.Helper()
 	cells := make([]*sim.Cell, n)
 	for i := 0; i < n; i++ {
@@ -53,7 +53,7 @@ func newCellPool(t *testing.T, n int, seedBase int64) []*sim.Cell {
 	return cells
 }
 
-func shutdownNow(t *testing.T, s *Server) {
+func shutdownNow(t testing.TB, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

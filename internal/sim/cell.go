@@ -23,6 +23,10 @@ var ErrNoPendingObserve = errors.New("sim: no decision pending observation")
 // or non-positive/non-finite entries) — a caller error, not a cell failure.
 var ErrBadVolumes = errors.New("sim: bad demand vector")
 
+// ErrBadStation marks client-supplied feedback naming a station outside the
+// cell's network — a caller error, not a cell failure.
+var ErrBadStation = errors.New("sim: unknown station")
+
 // Cell is the step-wise decision engine for ONE MEC cell: the per-slot body
 // of the batch simulator (Runner.Run), factored out so a long-running server
 // can drive slots one at a time. A Cell owns its environment RNG, its
@@ -129,7 +133,7 @@ type CellDecision struct {
 	Shed           int `json:"shed,omitempty"`
 	// WarmSolve / SkippedSolve report the slot's relaxation reused the
 	// previous slot's optimisation state or was skipped outright. Both false
-	// unless the policy solves incrementally (the OL_GD family does).
+	// for policies that solve no LP relaxation (Greedy_GD, Pri_GD).
 	WarmSolve    bool `json:"warm_solve,omitempty"`
 	SkippedSolve bool `json:"skipped_solve,omitempty"`
 	// FaultsInjected counts fault events injected this slot.
@@ -156,9 +160,8 @@ type CellStatus struct {
 	DegradedSlots  int     `json:"degraded_slots"`
 	OverloadSlots  int     `json:"overload_slots"`
 	FaultsInjected int     `json:"faults_injected"`
-	// WarmSolves / SkippedSolves count slots served by incremental
-	// warm-started and skipped solves (zero unless the policy solves
-	// incrementally, as the OL_GD family does).
+	// WarmSolves / SkippedSolves count slots served by warm-started and
+	// skipped solves (zero for policies that solve no LP relaxation).
 	WarmSolves     int  `json:"warm_solves,omitempty"`
 	SkippedSolves  int  `json:"skipped_solves,omitempty"`
 	PendingObserve bool `json:"pending_observe"`
@@ -267,6 +270,18 @@ func (r *Runner) validateVolumes(vols []float64) error {
 	for l, v := range vols {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 			return fmt.Errorf("%w: entry %d is %v (want positive finite)", ErrBadVolumes, l, v)
+		}
+	}
+	return nil
+}
+
+// validateStations checks that client-supplied feedback names only stations
+// of the network.
+func (r *Runner) validateStations(played map[int]float64) error {
+	n := r.net.NumStations()
+	for i := range played {
+		if i < 0 || i >= n {
+			return fmt.Errorf("%w: %d outside [0,%d)", ErrBadStation, i, n)
 		}
 	}
 	return nil
@@ -574,6 +589,8 @@ func (c *Cell) Observe(played map[int]float64, vols []float64) error {
 	policy := c.policy
 	if played == nil {
 		played = p.played
+	} else if err := r.validateStations(played); err != nil {
+		return err
 	}
 	if vols == nil {
 		vols = p.vols

@@ -123,10 +123,15 @@ func (c *Cell) Checkpoint() ([]byte, error) {
 // ResetPolicyWarmState applies the checkpoint warm-state barrier without
 // exporting anything. Recovery uses it when the WAL replay crosses a
 // generation boundary — a point where the dead process checkpointed — so
-// the replayed history carries the same barriers as the live one.
+// the replayed history carries the same barriers as the live one. The
+// shadow Oracle of a regret-tracking cell carries a basis too, and a
+// restored cell rebuilds it cold, so it is reset with the policy.
 func (c *Cell) ResetPolicyWarmState() {
 	if rs, ok := c.policy.(algorithms.WarmStateResetter); ok {
 		rs.ResetWarmState()
+	}
+	if c.oracle != nil {
+		c.oracle.ResetWarmState()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/mecsim/l4e/internal/algorithms"
 	"github.com/mecsim/l4e/internal/faults"
+	"github.com/mecsim/l4e/internal/obs"
 )
 
 // persistEnv builds a runner with a FRESH fault schedule each call, so the
@@ -107,6 +108,73 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	if refCell.res.Regret.Cumulative() != gotCell.res.Regret.Cumulative() {
 		t.Fatalf("cumulative regret %v != reference %v",
 			gotCell.res.Regret.Cumulative(), refCell.res.Regret.Cumulative())
+	}
+}
+
+// TestCheckpointRestoreRegretSeriesBitIdentical checkpoints a regret-tracking
+// cell at flow scale (15 stations x 20 requests), where the shadow Oracle
+// carries a network-simplex basis across slots. The restored cell's Oracle
+// starts cold, so the checkpoint must reset the live Oracle too. After the
+// checkpoint both cells must make the same warm and cold solves, and the
+// restored cell's regret series must equal the uninterrupted one bit for bit.
+func TestCheckpointRestoreRegretSeriesBitIdentical(t *testing.T) {
+	const stations, requests, horizon, mid = 15, 20, 24, 9
+	env := func(ob *obs.Observer) *Runner {
+		net, w := testEnv(t, stations, requests, horizon)
+		surge, err := faults.NewDemandSurge(0.2, 3, 3, 51)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := faults.NewSchedule(net.NumStations(), surge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(net, w, Config{
+			Seed: 23, DemandsGiven: true, Faults: sched, TrackRegret: true, WarmCache: true, Observer: ob,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	refObs := obs.New(obs.Options{})
+	refCell, err := env(refObs).NewCell(newOLGD(t, stations))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(t, refCell, mid)
+	payload, err := refCell.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	atCheckpoint := refObs.Snapshot().Counters
+	drive(t, refCell, horizon-mid)
+	refTail := refObs.Snapshot().Counters
+
+	gotObs := obs.New(obs.Options{})
+	gotCell, err := env(gotObs).NewCell(newOLGD(t, stations))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gotCell.RestoreState(payload); err != nil {
+		t.Fatal(err)
+	}
+	drive(t, gotCell, horizon-mid)
+	gotTail := gotObs.Snapshot().Counters
+
+	for _, name := range []string{"flow.basis_rebuilds", "flow.warm_starts"} {
+		if want, got := refTail[name]-atCheckpoint[name], gotTail[name]; got != want {
+			t.Errorf("%s after the checkpoint: restored %d, reference %d", name, got, want)
+		}
+	}
+	want, got := refCell.res.Regret.PerSlot(), gotCell.res.Regret.PerSlot()
+	if len(got) != horizon || len(want) != horizon {
+		t.Fatalf("regret series lengths %d (restored), %d (reference); want %d", len(got), len(want), horizon)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("slot %d regret %v != reference %v", i, got[i], want[i])
+		}
 	}
 }
 

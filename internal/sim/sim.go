@@ -104,8 +104,8 @@ type Result struct {
 	RepairViolations int
 	// WarmSolves counts slots whose relaxation warm-started from the previous
 	// slot's optimisation state, and SkippedSolves slots whose relaxation was
-	// skipped outright (bit-identical inputs). Both stay zero unless the
-	// policy solves incrementally (the OL_GD family does).
+	// skipped outright (bit-identical inputs). Both stay zero for policies
+	// that solve no LP relaxation (Greedy_GD, Pri_GD).
 	WarmSolves    int
 	SkippedSolves int
 	// DecideFailures counts slots where the policy's Decide itself errored

@@ -15,18 +15,24 @@ import (
 
 func obsTestScenario(t *testing.T, o *Observer, extra ...ScenarioOption) *Scenario {
 	t.Helper()
-	wcfg := WorkloadConfig{
-		NumRequests: 10, NumServices: 3, Horizon: 15, NumClusters: 3,
-		BasicDemandMin: 1, BasicDemandMax: 3, BurstScale: 5,
-		BurstOnProb: 0.1, BurstStayProb: 0.7, CUnit: 40,
-	}
-	opts := append([]ScenarioOption{WithStations(15), WithWorkloadConfig(wcfg),
+	opts := append([]ScenarioOption{WithStations(15), WithWorkloadConfig(obsTestWorkload(10)),
 		WithSlots(15), WithSeed(11), WithObserver(o)}, extra...)
 	s, err := NewScenario(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// obsTestWorkload is obsTestScenario's workload with the given request count.
+// At 10 requests x 15 stations every slot LP is within the exact simplex's
+// size limit (200 assignment variables); at 20 it solves as min-cost flow.
+func obsTestWorkload(requests int) WorkloadConfig {
+	return WorkloadConfig{
+		NumRequests: requests, NumServices: 3, Horizon: 15, NumClusters: 3,
+		BasicDemandMin: 1, BasicDemandMax: 3, BurstScale: 5,
+		BurstOnProb: 0.1, BurstStayProb: 0.7, CUnit: 40,
+	}
 }
 
 // TestObserverDisabledIsBitIdentical is the no-observer determinism guard:
