@@ -101,23 +101,10 @@ func (x *IndexOLGD) Decide(view *SlotView) (*caching.Assignment, error) {
 		}
 	}
 	p.UnitDelayMS = theta
-	frac, err := p.SolveLPLadderWS(x.ws)
+	frac, a, err := solveRoundRepair(view, x.ws, x.observer, x.Name())
 	if err != nil {
 		return nil, err
 	}
-	view.reportSolve(frac.Stats)
-	recordSolve(x.observer, x.Name(), frac.Stats)
-	a := &caching.Assignment{BS: make([]int, len(p.Requests))}
-	for l := range p.Requests {
-		best, bestX := 0, -1.0
-		for i, xv := range frac.X[l] {
-			if xv > bestX {
-				best, bestX = i, xv
-			}
-		}
-		a.BS[l] = best
-	}
-	view.reportShed(repairCapacity(p, a))
 	if ob := x.observer; ob.TraceEnabled() {
 		ob.Emit(obs.Event{Slot: view.T, Name: "indexolgd.decide", Policy: x.Name(), Fields: obs.Fields{
 			"index":             x.kind.String(),
@@ -131,15 +118,7 @@ func (x *IndexOLGD) Decide(view *SlotView) (*caching.Assignment, error) {
 }
 
 // Observe implements Policy.
-func (x *IndexOLGD) Observe(ob *Observation) {
-	labeled := x.observer.Enabled()
-	for i, d := range ob.PlayedDelays {
-		if x.arms.Observe(i, d) && labeled {
-			x.observer.IncL("bandit.pulls", obs.L("arm", armLabel(i))...)
-		}
-	}
-	x.observer.Add("bandit.observations", int64(len(ob.PlayedDelays)))
-}
+func (x *IndexOLGD) Observe(ob *Observation) { observeArms(x.arms, x.observer, ob) }
 
 // BanditState implements BanditReporter. Index policies have no explicit
 // epsilon (exploration is implicit in the optimistic indices), so HasEpsilon

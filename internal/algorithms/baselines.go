@@ -10,43 +10,6 @@ import (
 	"github.com/mecsim/l4e/internal/obs"
 )
 
-// greedyAssignOrder assigns requests in the given order, each to the station
-// minimising its estimated marginal cost (processing + access latency +
-// instantiation if the service is not yet cached there) among stations with
-// residual capacity. Requests no station can host within capacity are shed
-// via shedStation — the slot is never failed — and counted in the return.
-func greedyAssignOrder(p *caching.Problem, order []int) (*caching.Assignment, int) {
-	a := &caching.Assignment{BS: make([]int, len(p.Requests))}
-	load := make([]float64, p.NumStations)
-	cached := make(map[[2]int]bool)
-	shed := 0
-	for _, l := range order {
-		demand := p.Requests[l].Volume * p.CUnit
-		k := p.Requests[l].Service
-		best, bestCost := -1, 0.0
-		for i := 0; i < p.NumStations; i++ {
-			if load[i]+demand > p.CapacityMHz[i]+1e-9 {
-				continue
-			}
-			c := p.AssignCost(l, i)
-			if !cached[[2]int{k, i}] {
-				c += p.InstDelayMS[i][k]
-			}
-			if best < 0 || c < bestCost {
-				best, bestCost = i, c
-			}
-		}
-		if best < 0 {
-			best = shedStation(p, load, l)
-			shed++
-		}
-		a.BS[l] = best
-		load[best] += demand
-		cached[[2]int{k, best}] = true
-	}
-	return a, shed
-}
-
 // estimator is the delay-information model shared by the baselines. The
 // paper's Greedy_GD and Pri_GD "cache services and offload user tasks
 // according to the historical information of processing latencies" and
@@ -195,7 +158,7 @@ func (g *GreedyGD) Decide(view *SlotView) (*caching.Assignment, error) {
 				if bs >= 0 {
 					continue
 				}
-				tgt := shedStation(p, load, l)
+				tgt := p.ShedStation(load, l)
 				a.BS[l] = tgt
 				load[tgt] += p.Requests[l].Volume * p.CUnit
 				shed++
@@ -269,7 +232,7 @@ func (p *PriGD) Decide(view *SlotView) (*caching.Assignment, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return p.priority[prob.Requests[order[a]].ID] > p.priority[prob.Requests[order[b]].ID]
 	})
-	a, shed := greedyAssignOrder(prob, order)
+	a, shed := prob.GreedyAssign(order)
 	view.reportShed(shed)
 	if ob := p.observer; ob.TraceEnabled() {
 		maxPri := 0
@@ -291,8 +254,10 @@ func (p *PriGD) Observe(obs *Observation) { p.observe(obs) }
 
 // Oracle knows the true unit delays of every slot (they are injected by the
 // simulator through SetTrueDelays before Decide) and solves the LP
-// relaxation with them, rounding via candidate sampling with gamma = 0.5.
-// It is the per-slot reference for regret measurement, not a competitor.
+// relaxation with them, rounding by argmax (Fractional.Round) and repairing
+// capacity. It is the per-slot reference for regret measurement, not a
+// competitor, and not the integral optimum: rounding and repair can leave it
+// above the best integral assignment.
 type Oracle struct {
 	trueDelays []float64
 	observer   *obs.Observer
@@ -321,25 +286,8 @@ func (o *Oracle) Decide(view *SlotView) (*caching.Assignment, error) {
 		return nil, fmt.Errorf("algorithms: Oracle has %d true delays for %d stations", len(o.trueDelays), p.NumStations)
 	}
 	p.UnitDelayMS = append([]float64(nil), o.trueDelays...)
-	frac, err := p.SolveLPLadderWS(o.ws)
-	if err != nil {
-		return nil, err
-	}
-	view.reportSolve(frac.Stats)
-	recordSolve(o.observer, o.Name(), frac.Stats)
-	// Deterministic rounding: argmax x*_li per request, then repair.
-	a := &caching.Assignment{BS: make([]int, len(p.Requests))}
-	for l := range p.Requests {
-		best, bestX := 0, -1.0
-		for i, x := range frac.X[l] {
-			if x > bestX {
-				best, bestX = i, x
-			}
-		}
-		a.BS[l] = best
-	}
-	view.reportShed(repairCapacity(p, a))
-	return a, nil
+	_, a, err := solveRoundRepair(view, o.ws, o.observer, o.Name())
+	return a, err
 }
 
 // Observe implements Policy (the oracle has nothing to learn).

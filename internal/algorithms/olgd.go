@@ -199,15 +199,7 @@ func (o *OLGD) Decide(view *SlotView) (*caching.Assignment, error) {
 }
 
 // Observe implements Policy (Algorithm 1, lines 10-11).
-func (o *OLGD) Observe(ob *Observation) {
-	labeled := o.observer.Enabled()
-	for i, d := range ob.PlayedDelays {
-		if o.arms.Observe(i, d) && labeled {
-			o.observer.IncL("bandit.pulls", obs.L("arm", armLabel(i))...)
-		}
-	}
-	o.observer.Add("bandit.observations", int64(len(ob.PlayedDelays)))
-}
+func (o *OLGD) Observe(ob *Observation) { observeArms(o.arms, o.observer, ob) }
 
 // BanditState implements BanditReporter for the flight recorder.
 func (o *OLGD) BanditState() *BanditState {

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"github.com/mecsim/l4e/internal/bandit"
 	"github.com/mecsim/l4e/internal/caching"
 	"github.com/mecsim/l4e/internal/obs"
 )
@@ -290,7 +291,7 @@ func repairCapacity(p *caching.Problem, a *caching.Assignment) int {
 		}
 		if best < 0 {
 			shed++
-			if tgt := shedStation(p, load, mv.l); tgt != cur {
+			if tgt := p.ShedStation(load, mv.l); tgt != cur {
 				load[cur] -= mv.demand
 				load[tgt] += mv.demand
 				a.BS[mv.l] = tgt
@@ -304,30 +305,33 @@ func repairCapacity(p *caching.Problem, a *caching.Assignment) int {
 	return shed
 }
 
-// shedStation picks the least-bad station for a request nothing can absorb:
-// lowest relative load among stations with any capacity, or — total blackout —
-// the station with the lowest assignment cost. It always returns a valid
-// station index.
-func shedStation(p *caching.Problem, load []float64, l int) int {
-	best, bestRel := -1, 0.0
-	for i := 0; i < p.NumStations; i++ {
-		if p.CapacityMHz[i] <= 0 {
-			continue
-		}
-		if rel := load[i] / p.CapacityMHz[i]; best < 0 || rel < bestRel {
-			best, bestRel = i, rel
+// solveRoundRepair is the deterministic LP step shared by Oracle and
+// IndexOLGD: solve the relaxation down the degradation ladder under the
+// problem's current theta, report the solve, round by argmax and repair
+// capacity.
+func solveRoundRepair(view *SlotView, ws *caching.Workspace, ob *obs.Observer, policy string) (*caching.Fractional, *caching.Assignment, error) {
+	frac, err := view.Problem.SolveLPLadderWS(ws)
+	if err != nil {
+		return nil, nil, err
+	}
+	view.reportSolve(frac.Stats)
+	recordSolve(ob, policy, frac.Stats)
+	a := frac.Round()
+	view.reportShed(repairCapacity(view.Problem, a))
+	return frac, a, nil
+}
+
+// observeArms is Algorithm 1 lines 10-11, shared by OLGD and IndexOLGD: fold
+// each played station's measured delay into its arm, counting pulls and
+// observations on o.
+func observeArms(arms *bandit.Arms, o *obs.Observer, ob *Observation) {
+	labeled := o.Enabled()
+	for i, d := range ob.PlayedDelays {
+		if arms.Observe(i, d) && labeled {
+			o.IncL("bandit.pulls", obs.L("arm", armLabel(i))...)
 		}
 	}
-	if best >= 0 {
-		return best
-	}
-	bestCost := 0.0
-	for i := 0; i < p.NumStations; i++ {
-		if c := p.AssignCost(l, i); best < 0 || c < bestCost {
-			best, bestCost = i, c
-		}
-	}
-	return best
+	o.Add("bandit.observations", int64(len(ob.PlayedDelays)))
 }
 
 // sampleFromCandidates implements Algorithm 1 line 7: assign each request to

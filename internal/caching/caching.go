@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/mecsim/l4e/internal/flow"
 	"github.com/mecsim/l4e/internal/lp"
@@ -846,26 +845,8 @@ func (p *Problem) SolveLPLadderWS(ws *Workspace) (*Fractional, error) {
 	return frac, nil
 }
 
-// SolveGreedy is the bottom rung of the degradation ladder as a standalone
-// solver: a deterministic one-hot "fractional" built greedily, valid for any
-// problem that passes Validate — even one with zero total capacity.
-func (p *Problem) SolveGreedy() (*Fractional, error) {
-	return p.SolveGreedyWS(nil)
-}
-
-// SolveGreedyWS is SolveGreedy with a reusable workspace (only the result
-// matrices are drawn from it).
-func (p *Problem) SolveGreedyWS(ws *Workspace) (*Fractional, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p.solveGreedyWS(ws), nil
-}
-
-// solveGreedyWS places requests largest-first on the cheapest station with
-// room; when nothing has room the request is shed to the least relatively
-// loaded station that has any capacity (or, in a total blackout, the station
-// with the lowest assignment cost). It cannot fail: every request gets a
+// solveGreedyWS is the ladder's greedy rung: the largest-first GreedyAssign
+// written out as a one-hot "fractional". It cannot fail: every request gets a
 // station, capacity violations are accepted and priced by Evaluate's overload
 // model rather than rejected.
 func (p *Problem) solveGreedyWS(ws *Workspace) *Fractional {
@@ -877,42 +858,10 @@ func (p *Problem) solveGreedyWS(ws *Workspace) *Fractional {
 	ws.prevKind = ""
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
 	frac := ws.result(L, N, K)
-
-	order := make([]int, L)
-	for l := range order {
-		order[l] = l
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return p.Requests[order[a]].Volume > p.Requests[order[b]].Volume
-	})
-
-	load := make([]float64, N)
-	cached := make(map[[2]int]bool)
-	for _, l := range order {
-		k := p.Requests[l].Service
-		demand := p.Requests[l].Volume * p.CUnit
-		best, bestCost := -1, math.Inf(1)
-		for i := 0; i < N; i++ {
-			if load[i]+demand > p.CapacityMHz[i]+1e-9 {
-				continue
-			}
-			cost := p.AssignCost(l, i)
-			if !cached[[2]int{k, i}] {
-				cost += p.InstDelayMS[i][k]
-			}
-			if cost < bestCost {
-				best, bestCost = i, cost
-			}
-		}
-		if best < 0 {
-			best = p.shedTarget(l, load)
-		}
-		load[best] += demand
-		cached[[2]int{k, best}] = true
-		frac.X[l][best] = 1
-		if frac.Y[k][best] < 1 {
-			frac.Y[k][best] = 1
-		}
+	a, _ := p.GreedyAssign(p.LargestFirst())
+	for l, i := range a.BS {
+		frac.X[l][i] = 1
+		frac.Y[p.Requests[l].Service][i] = 1
 	}
 	frac.Objective = p.fracObjective(frac)
 	frac.Stats = SolveStats{
@@ -921,31 +870,6 @@ func (p *Problem) solveGreedyWS(ws *Workspace) *Fractional {
 		Constraints: L + N,
 	}
 	return frac
-}
-
-// shedTarget picks where an unplaceable request goes: the station with the
-// lowest relative load among those with any capacity, falling back to the
-// cheapest station outright when every capacity is zero (total blackout).
-func (p *Problem) shedTarget(l int, load []float64) int {
-	best, bestRel := -1, math.Inf(1)
-	for i := 0; i < p.NumStations; i++ {
-		if p.CapacityMHz[i] <= 0 {
-			continue
-		}
-		if rel := load[i] / p.CapacityMHz[i]; rel < bestRel {
-			best, bestRel = i, rel
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	bestCost := math.Inf(1)
-	for i := 0; i < p.NumStations; i++ {
-		if c := p.AssignCost(l, i); c < bestCost {
-			best, bestCost = i, c
-		}
-	}
-	return best
 }
 
 func growIDs(buf []int, n int) []int {

@@ -41,8 +41,7 @@ type DriveSummary struct {
 // RetryAfterHint is the programmatic twin of the HTTP 429 Retry-After
 // header, at full resolution: the duration recently enqueued work on cell
 // id's shard waited before service (the queue-wait EWMA), clamped to
-// [1ms, max]. Before any wait has been observed — or with timing disabled,
-// when no waits are measured — it returns the 1ms floor. Callers backing off
+// [1ms, max]. Before any wait has been observed it returns the 1ms floor. Callers backing off
 // ErrQueueFull should sleep about this long, jittered.
 func (s *Server) RetryAfterHint(id int, max time.Duration) time.Duration {
 	const floor = time.Millisecond

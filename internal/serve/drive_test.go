@@ -73,7 +73,7 @@ func TestRetryAfterHintBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdownNow(t, s)
-	// No waits observed (timing off): floor applies; bad ids get the floor too.
+	// No waits observed yet: floor applies; bad ids get the floor too.
 	if got := s.RetryAfterHint(0, time.Second); got != time.Millisecond {
 		t.Fatalf("hint before any wait = %v, want 1ms floor", got)
 	}

@@ -141,6 +141,24 @@ func TestOversizedBodyRejected(t *testing.T) {
 // cell (slot, counters and the pending decision stay as they were), and the
 // shard worker must survive to serve the next decide.
 func TestObserveRejectsUnknownStation(t *testing.T) {
+	assertObservesRejected(t, `{"cell":0,"delays":{"999":5}}`, `{"cell":0,"delays":{"-1":5}}`)
+}
+
+// TestObserveRejectsHostileDelays posts feedback with non-positive delays.
+// Accepted, one such body steered every later decide onto the station with
+// the hugely negative estimate; it must be rejected like an unknown station.
+func TestObserveRejectsHostileDelays(t *testing.T) {
+	assertObservesRejected(t,
+		`{"cell":0,"delays":{"0":1e308,"1":-1e308}}`,
+		`{"cell":0,"delays":{"0":0}}`,
+		`{"cell":0,"delays":{"2":-5}}`)
+}
+
+// assertObservesRejected decides once on a fresh one-cell server, then posts
+// each observe body: every one must answer 400 and leave the cell's status
+// as it was, and the next decide must still be served.
+func assertObservesRejected(t *testing.T, bodies ...string) {
+	t.Helper()
 	s, err := New(Config{Shards: 1}, newCellPool(t, 1, 790))
 	if err != nil {
 		t.Fatal(err)
@@ -157,14 +175,14 @@ func TestObserveRejectsUnknownStation(t *testing.T) {
 	if !before.PendingObserve {
 		t.Fatal("no decision pending after a decide")
 	}
-	for _, id := range []string{"999", "-1"} {
-		resp := postJSON(t, ts.URL+"/v1/observe", fmt.Sprintf(`{"cell":0,"delays":{%q:5}}`, id))
+	for _, in := range bodies {
+		resp := postJSON(t, ts.URL+"/v1/observe", in)
 		body := readBody(t, resp)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("observe station %s: %d, want 400: %s", id, resp.StatusCode, body)
+			t.Fatalf("observe %s: %d, want 400: %s", in, resp.StatusCode, body)
 		}
 		if after := s.Cells()[0].CellStatus; after != before {
-			t.Fatalf("observe station %s changed the cell: %+v, was %+v", id, after, before)
+			t.Fatalf("observe %s changed the cell: %+v, was %+v", in, after, before)
 		}
 	}
 	resp = postJSON(t, ts.URL+"/v1/decide", `{"cell":0}`)

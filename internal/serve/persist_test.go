@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/mecsim/l4e/internal/algorithms"
 	"github.com/mecsim/l4e/internal/obs"
@@ -248,6 +249,6 @@ func runPanicChild() {
 	// stand-in for any bug inside the worker loop.
 	done := make(chan taskResult)
 	close(done)
-	s.shards[0].queue <- task{kind: taskDecide, cell: s.cells[0], done: done}
+	s.shards[0].queue <- task{kind: taskDecide, cell: s.cells[0], done: done, rc: s.newReqCtx("decide"), enq: time.Now()}
 	select {} // the worker's re-panic kills the process
 }

@@ -148,7 +148,7 @@ type task struct {
 	played map[int]float64
 	done   chan taskResult
 	// rc is the request's span context; enq is the enqueue timestamp the
-	// queue-wait stage is measured from. Both are zero when timing is off.
+	// queue-wait stage is measured from.
 	rc  *reqCtx
 	enq time.Time
 }
@@ -162,7 +162,7 @@ type task struct {
 type reqCtx struct {
 	trace string    // trace ID; "" when no trace consumer is attached
 	route string    // "decide" | "observe"
-	start time.Time // ingest time; zero when timing is disabled entirely
+	start time.Time // ingest time
 	// execEnd is stamped by the shard worker the moment the cell call
 	// returned, and replied by the caller the moment it received the result;
 	// finish derives the reply stage — the worker's stage bookkeeping plus
@@ -171,9 +171,6 @@ type reqCtx struct {
 	execEnd time.Time
 	replied time.Time
 }
-
-// timed reports whether this request records stage durations.
-func (rc *reqCtx) timed() bool { return rc != nil && !rc.start.IsZero() }
 
 // ms converts a duration to float milliseconds (the repo's latency unit).
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -231,10 +228,6 @@ type Server struct {
 	shards []*shard
 	obs    *obs.Observer
 	slo    *obs.SLOTracker
-	// timed gates every stage timestamp: with no observer and no SLO
-	// tracker the serving path takes zero clock readings, so the disabled
-	// path stays exactly the pre-attribution hot path.
-	timed  bool
 	reqSeq atomic.Uint64
 	// recovering gates traffic while the startup recovery pass replays
 	// durable state into the cells: submit rejects with ErrRecovering and
@@ -266,7 +259,6 @@ func New(cfg Config, cells []*sim.Cell) (*Server, error) {
 		cfg.Shards = len(cells)
 	}
 	s := &Server{cfg: cfg, obs: cfg.Observer, slo: cfg.SLO, started: time.Now(), recovered: make(chan struct{})}
-	s.timed = s.obs.Enabled() || s.slo != nil
 	for id, c := range cells {
 		if c == nil {
 			return nil, fmt.Errorf("serve: cell %d is nil", id)
@@ -411,10 +403,7 @@ func (s *Server) worker(sh *shard) {
 		// queue wait, everything between it and a task's own execute start
 		// is batch-coalesce wait (the time spent solving earlier tasks of
 		// the same batch).
-		var deq time.Time
-		if s.timed {
-			deq = time.Now()
-		}
+		deq := time.Now()
 		if s.obs.Enabled() {
 			s.obs.ObserveWith("serve.batch_size", BatchSizeBuckets, float64(len(batch)))
 			s.obs.SetL("serve.queue_depth", float64(len(sh.queue)), obs.L("shard", sh.label)...)
@@ -431,12 +420,10 @@ func (s *Server) worker(sh *shard) {
 // task's execute), and solve (the cell call itself, labeled by the
 // degradation-ladder tier that produced it). Stages land in the labeled
 // histograms and, when a trace consumer is attached, as child spans of the
-// request's trace. The bookkeeping after the solve belongs to the reply
-// stage that finish records.
+// request's trace; the queue wait always feeds the shard's drain estimate
+// behind the 429 Retry-After hint. The bookkeeping after the solve belongs
+// to the reply stage that finish records.
 func (s *Server) executeTimed(sh *shard, t task, deq time.Time) taskResult {
-	if !t.rc.timed() || deq.IsZero() {
-		return s.execute(t)
-	}
 	execStart := time.Now()
 	res := s.execute(t)
 	t.rc.execEnd = time.Now()
@@ -487,14 +474,9 @@ func (s *Server) emitSpan(rc *reqCtx, stage string, slot int, durMS float64, ext
 	s.obs.Emit(obs.Event{Slot: slot, Name: "span", Trace: rc.trace, Span: stage, Parent: "req", Fields: f})
 }
 
-// newReqCtx opens a request's span context at ingest time. When timing is
-// disabled entirely it returns a zero context that every stage hook treats
-// as "don't measure".
+// newReqCtx opens a request's span context at ingest time.
 func (s *Server) newReqCtx(route string) *reqCtx {
-	rc := &reqCtx{route: route}
-	if s.timed {
-		rc.start = time.Now()
-	}
+	rc := &reqCtx{route: route, start: time.Now()}
 	if s.obs.TraceEnabled() {
 		rc.trace = "r" + strconv.FormatUint(s.reqSeq.Add(1), 10)
 	}
@@ -506,9 +488,6 @@ func (s *Server) newReqCtx(route string) *reqCtx {
 // record. degraded marks decisions served only through the degradation
 // ladder, which feeds the SLO tracker's fallback share.
 func (s *Server) finish(rc *reqCtx, slot int, err error, degraded bool, encode time.Duration) {
-	if !rc.timed() {
-		return
-	}
 	e2e := time.Since(rc.start)
 	// reply is the tail the caller pays after the cell call returned: the
 	// worker's stage bookkeeping, the done-channel handoff and the caller
@@ -621,9 +600,7 @@ func (s *Server) submit(t task) error {
 	if s.draining {
 		return ErrDraining
 	}
-	if t.rc.timed() {
-		t.enq = time.Now()
-	}
+	t.enq = time.Now()
 	select {
 	case s.shards[t.cell.shard].queue <- t:
 		return nil
@@ -643,9 +620,7 @@ func (s *Server) call(t task) (taskResult, error) {
 		return taskResult{}, err
 	}
 	res := <-t.done
-	if t.rc.timed() {
-		t.rc.replied = time.Now()
-	}
+	t.rc.replied = time.Now()
 	return res, nil
 }
 
@@ -856,7 +831,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.finish(rc, 0, err, false, 0)
 		return
 	}
-	encode, err := s.writeJSONTimed(rc, w, struct {
+	encode, err := s.writeJSONTimed(w, struct {
 		Cell int `json:"cell"`
 		*sim.CellDecision
 	}{req.Cell, dec})
@@ -893,7 +868,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		s.finish(rc, slot, err, false, 0)
 		return
 	}
-	encode, err := s.writeJSONTimed(rc, w, struct {
+	encode, err := s.writeJSONTimed(w, struct {
 		Cell     int  `json:"cell"`
 		Observed bool `json:"observed"`
 	}{req.Cell, true})
@@ -955,10 +930,10 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 // observed drain: the queue-wait EWMA is how long recently enqueued work
 // waited before service, which is exactly how long a retry arriving at the
 // same backlog should expect to wait — so it is also roughly when the full
-// queue will have made room. Before any wait has been observed (or with
-// timing disabled, when no waits are measured) the configured constant
-// applies. The hint is clamped to [1s, 60s]: HTTP Retry-After has whole-
-// second granularity and a saturated shard should not park clients forever.
+// queue will have made room. Before any wait has been observed the
+// configured constant applies. The hint is clamped to [1s, 60s]: HTTP
+// Retry-After has whole-second granularity and a saturated shard should not
+// park clients forever.
 func (s *Server) retryAfterSecs(shard int) int {
 	fallback := int(math.Ceil(s.cfg.RetryAfter.Seconds()))
 	if fallback < 1 {
@@ -981,12 +956,8 @@ func (s *Server) retryAfterSecs(shard int) int {
 	return secs
 }
 
-// writeJSONTimed is writeJSON that also returns the encode duration when
-// the request is timed (zero otherwise, so finish skips the stage).
-func (s *Server) writeJSONTimed(rc *reqCtx, w http.ResponseWriter, v any) (time.Duration, error) {
-	if !rc.timed() {
-		return 0, s.writeJSON(w, v)
-	}
+// writeJSONTimed is writeJSON that also returns the encode duration.
+func (s *Server) writeJSONTimed(w http.ResponseWriter, v any) (time.Duration, error) {
 	start := time.Now()
 	err := s.writeJSON(w, v)
 	return time.Since(start), err
@@ -1013,7 +984,8 @@ func (s *Server) writeErr(w http.ResponseWriter, err error, cell int) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, sim.ErrNoPendingObserve):
 		http.Error(w, err.Error(), http.StatusConflict)
-	case errors.Is(err, sim.ErrBadVolumes), errors.Is(err, sim.ErrBadStation), isLookupErr(err):
+	case errors.Is(err, sim.ErrBadVolumes), errors.Is(err, sim.ErrBadStation),
+		errors.Is(err, sim.ErrBadDelay), isLookupErr(err):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -194,14 +194,15 @@ func TestBackpressureRejectsRatherThanBlocks(t *testing.T) {
 
 	// Stall the worker: it executes this decide, then blocks handing back the
 	// result because nobody is receiving yet.
-	blocker := task{kind: taskDecide, cell: s.cells[0], done: make(chan taskResult)}
+	blocker := task{kind: taskDecide, cell: s.cells[0], done: make(chan taskResult),
+		rc: s.newReqCtx("decide"), enq: time.Now()}
 	sh.queue <- blocker
 	for len(sh.queue) > 0 { // wait until the worker has claimed it
 		time.Sleep(100 * time.Microsecond)
 	}
 
 	// Fill the queue behind the stalled worker, then overflow it.
-	filler := task{kind: taskDecide, cell: s.cells[1], done: make(chan taskResult, 1)}
+	filler := task{kind: taskDecide, cell: s.cells[1], done: make(chan taskResult, 1), rc: s.newReqCtx("decide")}
 	if err := s.submit(filler); err != nil {
 		t.Fatalf("filler rejected with an idle queue: %v", err)
 	}

@@ -27,6 +27,11 @@ var ErrBadVolumes = errors.New("sim: bad demand vector")
 // cell's network — a caller error, not a cell failure.
 var ErrBadStation = errors.New("sim: unknown station")
 
+// ErrBadDelay marks client-supplied feedback carrying a non-positive or
+// non-finite unit delay — a caller error, not a cell failure. One such value
+// would otherwise steer the learner's estimates for good.
+var ErrBadDelay = errors.New("sim: bad delay")
+
 // Cell is the step-wise decision engine for ONE MEC cell: the per-slot body
 // of the batch simulator (Runner.Run), factored out so a long-running server
 // can drive slots one at a time. A Cell owns its environment RNG, its
@@ -275,13 +280,16 @@ func (r *Runner) validateVolumes(vols []float64) error {
 	return nil
 }
 
-// validateStations checks that client-supplied feedback names only stations
-// of the network.
-func (r *Runner) validateStations(played map[int]float64) error {
+// validatePlayed checks client-supplied feedback: only stations of the
+// network, each with a positive finite delay.
+func (r *Runner) validatePlayed(played map[int]float64) error {
 	n := r.net.NumStations()
-	for i := range played {
+	for i, d := range played {
 		if i < 0 || i >= n {
 			return fmt.Errorf("%w: %d outside [0,%d)", ErrBadStation, i, n)
+		}
+		if math.IsNaN(d) || math.IsInf(d, 0) || d <= 0 {
+			return fmt.Errorf("%w: station %d reports %v (want positive finite)", ErrBadDelay, i, d)
 		}
 	}
 	return nil
@@ -589,7 +597,7 @@ func (c *Cell) Observe(played map[int]float64, vols []float64) error {
 	policy := c.policy
 	if played == nil {
 		played = p.played
-	} else if err := r.validateStations(played); err != nil {
+	} else if err := r.validatePlayed(played); err != nil {
 		return err
 	}
 	if vols == nil {

@@ -307,24 +307,15 @@ func faultCount(eff *faults.Effect) int {
 }
 
 // fallbackAssignment is the simulator's last resort when a policy fails to
-// produce a usable assignment: the never-failing greedy rung of the solve
-// ladder, applied directly to the slot's realised problem. Requests land on
-// station 0 only if even the greedy solver rejects the problem (a malformed
-// instance the simulator itself built — effectively unreachable).
+// produce a usable assignment: the never-failing largest-first greedy placer
+// of the solve ladder's greedy rung, applied directly to the slot's realised
+// problem. Requests land on station 0 only if the problem fails Validate (a
+// malformed instance the simulator itself built — effectively unreachable).
 func fallbackAssignment(p *caching.Problem) *caching.Assignment {
-	a := &caching.Assignment{BS: make([]int, len(p.Requests))}
-	frac, err := p.SolveGreedy()
-	if err != nil {
-		return a
+	if err := p.Validate(); err != nil {
+		return &caching.Assignment{BS: make([]int, len(p.Requests))}
 	}
-	for l := range frac.X {
-		for i, x := range frac.X[l] {
-			if x > 0 {
-				a.BS[l] = i
-				break
-			}
-		}
-	}
+	a, _ := p.GreedyAssign(p.LargestFirst())
 	return a
 }
 
