@@ -27,7 +27,7 @@ vet:
 # layer, the shared observer under parallel experiment repeats, and the
 # parallel chaos + kill-and-restore matrices.
 race:
-	$(GO) test -race ./internal/sim/ ./internal/obs/ ./internal/faults/ ./internal/serve/ ./internal/persist/ ./cmd/mecd/ ./cmd/mecload/
+	$(GO) test -race ./internal/sim/ ./internal/obs/ ./internal/faults/ ./internal/serve/ ./internal/persist/ ./cmd/mecd/
 	$(GO) test -race -run 'Observer|Chaos|Durable' .
 
 # Chaos suite: the injector unit tests, the degradation-ladder tests, the

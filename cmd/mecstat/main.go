@@ -10,7 +10,8 @@
 //	mecsim -flight - | mecstat -            # read the artifact from stdin
 //
 // With several artifacts (or a multi-run artifact), every run is analysed
-// and delay percentiles are reported side by side.
+// and delay percentiles are reported side by side, with an ALL row over the
+// runs' concatenated per-slot delays.
 //
 // -spans switches to the serving-path trace written by mecd -trace: the
 // request-scoped span trees are aggregated into a per-stage (queue wait /
@@ -153,10 +154,6 @@ type runAnalysis struct {
 	PredErrMAEMean *float64 `json:"pred_err_mae_mean,omitempty"`
 
 	delays []float64 // retained for the CDF table, not serialised
-	// hdr re-records the per-slot delays into a log-linear HDR recorder
-	// (internal/obs): bounded relative error at any quantile and exact
-	// cross-run merging for the ALL row of the HDR table.
-	hdr *obs.HDR
 }
 
 // regretFit is the Theorem-1 convergence diagnostic: cumulative regret R(t)
@@ -201,7 +198,21 @@ type timelineWindow struct {
 	Failures int            `json:"decide_failures,omitempty"`
 }
 
-var _pctPoints = []float64{10, 25, 50, 75, 90, 95, 99}
+var _pctPoints = []float64{10, 25, 50, 75, 90, 95, 99, 99.9}
+
+// delayPercentiles computes the exact _pctPoints percentiles of delays, keyed
+// "p50", "p99.9", ...
+func delayPercentiles(delays []float64) (map[string]float64, error) {
+	pct := make(map[string]float64, len(_pctPoints))
+	for _, q := range _pctPoints {
+		v, err := metrics.Percentile(delays, q)
+		if err != nil {
+			return nil, err
+		}
+		pct[fmt.Sprintf("p%g", q)] = v
+	}
+	return pct, nil
+}
 
 func analyse(fr obs.FlightRun) (runAnalysis, error) {
 	a := runAnalysis{
@@ -210,7 +221,6 @@ func analyse(fr obs.FlightRun) (runAnalysis, error) {
 		DemandsGiven: fr.Header.DemandsGiven,
 		Chaos:        fr.Header.Chaos,
 		Interrupted:  fr.Summary == nil,
-		DelayPct:     map[string]float64{},
 		Degradation: degradation{
 			FaultsByKind: map[string]int{},
 			SolverTiers:  map[string]int{},
@@ -220,13 +230,11 @@ func analyse(fr obs.FlightRun) (runAnalysis, error) {
 		return a, fmt.Errorf("run %q has a header but no slot records", fr.Header.Policy)
 	}
 
-	a.hdr = obs.NewLatencyHDR()
 	var cumRegret []float64
 	var predSum float64
 	var predN int
 	for _, s := range fr.Slots {
 		a.delays = append(a.delays, s.DelayMS)
-		a.hdr.Record(int64(s.DelayMS * 1e6)) // ms -> ns, the recorder's unit
 		a.AvgDelayMS += s.DelayMS
 		if s.CumRegretMS != nil {
 			cumRegret = append(cumRegret, *s.CumRegretMS)
@@ -263,13 +271,11 @@ func analyse(fr obs.FlightRun) (runAnalysis, error) {
 		}
 	}
 	a.AvgDelayMS /= float64(len(fr.Slots))
-	for _, q := range _pctPoints {
-		v, err := metrics.Percentile(a.delays, q)
-		if err != nil {
-			return a, fmt.Errorf("run %q: %w", a.Policy, err)
-		}
-		a.DelayPct[fmt.Sprintf("p%g", q)] = v
+	pct, err := delayPercentiles(a.delays)
+	if err != nil {
+		return a, fmt.Errorf("run %q: %w", a.Policy, err)
 	}
+	a.DelayPct = pct
 	if predN > 0 {
 		m := predSum / float64(predN)
 		a.PredErrMAEMean = &m
@@ -417,50 +423,38 @@ func render(out io.Writer, runs []runAnalysis) error {
 		fmt.Fprintln(out, "(sublinear: sqrt fit beats linear and the last half adds < 50% of total regret,\n consistent with Theorem 1's o(T) bound; linear: regret still accumulating at a constant rate)")
 	}
 
-	// Delay CDF percentiles, policies side by side.
+	// Exact delay percentiles, policies side by side; with several runs an
+	// ALL row covers their concatenated per-slot delays.
 	fmt.Fprintf(out, "\ndelay distribution (per-slot average delay, ms):\n")
 	fmt.Fprintf(out, "%-16s", "policy")
 	for _, q := range _pctPoints {
 		fmt.Fprintf(out, " %8s", fmt.Sprintf("p%g", q))
 	}
 	fmt.Fprintf(out, " %8s\n", "max")
-	for _, a := range runs {
-		fmt.Fprintf(out, "%-16s", a.Policy)
+	row := func(name string, pct map[string]float64, delays []float64) {
+		fmt.Fprintf(out, "%-16s", name)
 		for _, q := range _pctPoints {
-			fmt.Fprintf(out, " %8.3f", a.DelayPct[fmt.Sprintf("p%g", q)])
+			fmt.Fprintf(out, " %8.3f", pct[fmt.Sprintf("p%g", q)])
 		}
 		maxD := 0.0
-		for _, d := range a.delays {
+		for _, d := range delays {
 			if d > maxD {
 				maxD = d
 			}
 		}
 		fmt.Fprintf(out, " %8.3f\n", maxD)
 	}
-
-	// HDR-backed percentile table: deep-tail quantiles (p99.9) the sorted
-	// reference above doesn't show, plus an exact cross-run merge — the same
-	// recorder mecload uses on the serving path.
-	fmt.Fprintf(out, "\ndelay distribution (HDR recorder, ms):\n")
-	fmt.Fprintf(out, "%-16s %8s %8s %8s %8s %8s %8s %9s\n",
-		"policy", "p50", "p90", "p99", "p99.9", "max", "mean", "samples")
-	hdrRow := func(name string, h *obs.HDR) {
-		s := h.Snapshot()
-		fmt.Fprintf(out, "%-16s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %9d\n",
-			name, float64(s.P50)/1e6, float64(s.P90)/1e6, float64(s.P99)/1e6,
-			float64(s.P999)/1e6, float64(s.Max)/1e6, s.Mean/1e6, s.Count)
-	}
+	var all []float64
 	for _, a := range runs {
-		hdrRow(a.Policy, a.hdr)
+		row(a.Policy, a.DelayPct, a.delays)
+		all = append(all, a.delays...)
 	}
 	if len(runs) > 1 {
-		merged := obs.NewLatencyHDR()
-		for _, a := range runs {
-			if err := merged.Merge(a.hdr); err != nil {
-				return err
-			}
+		pct, err := delayPercentiles(all)
+		if err != nil {
+			return err
 		}
-		hdrRow("ALL (merged)", merged)
+		row("ALL", pct, all)
 	}
 
 	// Degradation timeline.

@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"github.com/mecsim/l4e/internal/metrics"
 	"github.com/mecsim/l4e/internal/obs"
 )
 
@@ -75,47 +78,107 @@ func TestMecstatVerdictsAndTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"OL_GD", "Greedy_GD", "sublinear", "linear", "10-12", "outage=3", "delay distribution", "p50", "HDR recorder", "p99.9", "ALL (merged)"} {
+	for _, want := range []string{"OL_GD", "Greedy_GD", "sublinear", "linear", "10-12", "outage=3", "delay distribution", "p50", "p99.9", "ALL"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// TestMecstatHDRTable pins the HDR table's semantics: single runs get no
-// merged row, and the merged sample count is the exact sum of the per-run
-// counts (HDR merges are lossless).
-func TestMecstatHDRTable(t *testing.T) {
+// writeDelays records a run whose per-slot delays are exactly delays.
+func writeDelays(t *testing.T, path, policy string, delays []float64) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rec := obs.NewFlightRecorder(f)
+	rec.RecordHeader(obs.FlightHeader{Policy: policy, Slots: len(delays), Stations: 4, Requests: 8})
+	for i, d := range delays {
+		rec.RecordSlot(obs.FlightSlot{Policy: policy, Slot: i, DelayMS: d})
+	}
+	rec.RecordSummary(obs.FlightSummary{Policy: policy, Slots: len(delays)})
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// delayRow returns the fields of the delay-distribution row named name.
+func delayRow(t *testing.T, out, name string) []string {
+	t.Helper()
+	_, table, ok := strings.Cut(out, "delay distribution")
+	if !ok {
+		t.Fatalf("no delay distribution table in:\n%s", out)
+	}
+	for _, line := range strings.Split(table, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == name {
+			return f
+		}
+	}
+	return nil
+}
+
+// TestMecstatExactDelayTable pins the delay table: a single run renders no
+// ALL row, and with several runs the ALL row holds the exact percentiles of
+// the concatenated per-slot delays, p99.9 included.
+func TestMecstatExactDelayTable(t *testing.T) {
 	dir := t.TempDir()
+	var d1, d2 []float64
+	for i := 0; i < 50; i++ {
+		d1 = append(d1, float64(i+1))
+	}
+	for i := 0; i < 70; i++ {
+		d2 = append(d2, 100+3*float64(i))
+	}
 	one := filepath.Join(dir, "one.jsonl")
-	writeArtifact(t, one, "OL_GD", cumSqrt(50))
+	two := filepath.Join(dir, "two.jsonl")
+	writeDelays(t, one, "OL_GD", d1)
+	writeDelays(t, two, "Greedy_GD", d2)
 
 	var buf bytes.Buffer
 	if err := run(&buf, []string{one}); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "ALL (merged)") {
-		t.Error("single run rendered a merged row")
+	if row := delayRow(t, buf.String(), "ALL"); row != nil {
+		t.Errorf("single run rendered an ALL row: %v", row)
 	}
 
-	two := filepath.Join(dir, "two.jsonl")
-	writeArtifact(t, two, "Greedy_GD", cumLinear(70))
 	buf.Reset()
 	if err := run(&buf, []string{one, two}); err != nil {
 		t.Fatal(err)
 	}
-	var merged string
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, "ALL (merged)") {
-			merged = line
+	out := buf.String()
+	header := delayRow(t, out, "policy")
+	all := delayRow(t, out, "ALL")
+	if all == nil || len(all) != len(header) {
+		t.Fatalf("ALL row %v does not match header %v in:\n%s", all, header, out)
+	}
+	col := -1
+	for i, h := range header {
+		if h == "p99.9" {
+			col = i
 		}
 	}
-	if merged == "" {
-		t.Fatalf("no merged HDR row in:\n%s", buf.String())
+	if col < 0 {
+		t.Fatalf("no p99.9 column in %v", header)
 	}
-	fields := strings.Fields(merged)
-	if got := fields[len(fields)-1]; got != "120" {
-		t.Errorf("merged samples = %s, want exact sum 120 (50+70)", got)
+	want, err := metrics.Percentile(append(append([]float64(nil), d1...), d2...), 99.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := metrics.Percentile(d2, 99.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%.3f", own) == fmt.Sprintf("%.3f", want) {
+		t.Fatalf("test data cannot tell the merged p99.9 %v from one run's %v", want, own)
+	}
+	if got := all[col]; got != fmt.Sprintf("%.3f", want) {
+		t.Errorf("ALL p99.9 = %s, want %.3f (exact percentile of the concatenated delays)", got, want)
+	}
+	if got := all[len(all)-1]; got != fmt.Sprintf("%.3f", d2[len(d2)-1]) {
+		t.Errorf("ALL max = %s, want %.3f", got, d2[len(d2)-1])
 	}
 }
 
@@ -139,6 +202,7 @@ func TestMecstatJSON(t *testing.T) {
 			Degradation struct {
 				FaultsByKind map[string]int `json:"faults_by_kind"`
 			} `json:"degradation"`
+			DelayPct map[string]float64 `json:"delay_percentiles_ms"`
 		} `json:"runs"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &payload); err != nil {
@@ -156,6 +220,14 @@ func TestMecstatJSON(t *testing.T) {
 	}
 	if r.Degradation.FaultsByKind["outage"] != 3 {
 		t.Errorf("faults by kind = %v", r.Degradation.FaultsByKind)
+	}
+	var keys []string
+	for k := range r.DelayPct {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "p10 p25 p50 p75 p90 p95 p99 p99.9"; got != want {
+		t.Errorf("delay_percentiles_ms keys = %s, want %s", got, want)
 	}
 }
 

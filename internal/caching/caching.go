@@ -160,9 +160,6 @@ type SolveStats struct {
 	Iterations int
 	// Phase1Iterations is the simplex feasibility pivots (0 for flow).
 	Phase1Iterations int
-	// Variables and Constraints describe the lowered instance size.
-	Variables   int
-	Constraints int
 	// WorkspaceReused reports whether the solve rewrote a cached problem or
 	// graph in place (same shape as the previous solve on this workspace)
 	// instead of rebuilding it.
@@ -398,15 +395,13 @@ func (ws *Workspace) unchangedSince(p *Problem) bool {
 
 // skippedResult assembles the Fractional for a skipped solve: the cached X/Y
 // matrices (untouched since the solve that produced them) plus fresh stats.
-func (ws *Workspace) skippedResult(kind SolverKind, reason string, vars, cons int) *Fractional {
+func (ws *Workspace) skippedResult(kind SolverKind, reason string) *Fractional {
 	return &Fractional{
 		X:         ws.xRows,
 		Y:         ws.yRows,
 		Objective: ws.prevObjective,
 		Stats: SolveStats{
 			Solver:          kind,
-			Variables:       vars,
-			Constraints:     cons,
 			WorkspaceReused: true,
 			Skipped:         true,
 			SkipReason:      reason,
@@ -482,8 +477,7 @@ func (p *Problem) SolveLPExactWS(ws *Workspace) (*Fractional, error) {
 	}
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
 	if ws.prevKind == SolverSimplex && ws.unchangedSince(p) {
-		return ws.skippedResult(SolverSimplex, "unchanged",
-			ws.lpProb.NumVariables(), ws.lpProb.NumConstraints()), nil
+		return ws.skippedResult(SolverSimplex, "unchanged"), nil
 	}
 	// The cached solution is consumed by the solve below (the result matrices
 	// are rewritten), so the snapshot must not outlive a failed attempt.
@@ -600,8 +594,6 @@ func (p *Problem) SolveLPExactWS(ws *Workspace) (*Fractional, error) {
 		Solver:           SolverSimplex,
 		Iterations:       sol.Iterations,
 		Phase1Iterations: sol.Phase1Iterations,
-		Variables:        prob.NumVariables(),
-		Constraints:      prob.NumConstraints(),
 		WorkspaceReused:  reused,
 	}
 	for l := 0; l < L; l++ {
@@ -652,7 +644,7 @@ func (p *Problem) SolveLPFlowWS(ws *Workspace) (*Fractional, error) {
 	if ws.prevKind == SolverFlow && ws.graph != nil &&
 		ws.graphL == L && ws.graphN == N {
 		if ws.unchangedSince(p) {
-			return ws.skippedResult(SolverFlow, "unchanged", L*N, L+N), nil
+			return ws.skippedResult(SolverFlow, "unchanged"), nil
 		}
 		warmEligible = true
 	}
@@ -680,8 +672,6 @@ func (p *Problem) SolveLPFlowWS(ws *Workspace) (*Fractional, error) {
 		Iterations:      flowRes.Pivots,
 		Pivots:          flowRes.Pivots,
 		BasisRebuilt:    flowRes.BasisRebuilt,
-		Variables:       L * N,
-		Constraints:     L + N,
 		WorkspaceReused: reused,
 		WarmStarted:     flowRes.WarmStarted,
 		WarmFallback:    warmEligible && !flowRes.WarmStarted,
@@ -864,11 +854,7 @@ func (p *Problem) solveGreedyWS(ws *Workspace) *Fractional {
 		frac.Y[p.Requests[l].Service][i] = 1
 	}
 	frac.Objective = p.fracObjective(frac)
-	frac.Stats = SolveStats{
-		Solver:      SolverGreedy,
-		Variables:   L * N,
-		Constraints: L + N,
-	}
+	frac.Stats = SolveStats{Solver: SolverGreedy}
 	return frac
 }
 

@@ -234,17 +234,6 @@ func trimFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// Timer accumulates wall-clock measurements in milliseconds.
-type Timer struct {
-	samples []float64
-}
-
-// Add records one measurement.
-func (t *Timer) Add(ms float64) { t.samples = append(t.samples, ms) }
-
-// Summary returns statistics of the recorded measurements.
-func (t *Timer) Summary() Summary { return Summarize(t.samples) }
-
 // WelchTTest compares the means of two independent samples with unequal
 // variances and returns the t statistic and (approximate) two-sided p-value
 // via the normal approximation to the t distribution (adequate for the

@@ -134,16 +134,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	var tm Timer
-	tm.Add(1)
-	tm.Add(3)
-	s := tm.Summary()
-	if s.N != 2 || s.Mean != 2 {
-		t.Errorf("timer summary = %+v", s)
-	}
-}
-
 func TestPropertySummarizeBounds(t *testing.T) {
 	f := func(seed int64, nByte uint8) bool {
 		n := 1 + int(nByte)%50

@@ -33,6 +33,7 @@ func FuzzHandleObserve(f *testing.F) {
 		`{"cell":0,"delays":{"-1":5}}`,
 		`{"cell":0,"delays":{"0":5,"1":-3}}`,
 		`{"cell":0,"delays":{"0":1e308,"1":-1e308}}`,
+		`{"cell":0,"delays":{"0":1e308,"1":1e308}}`,
 		`{"cell":0,"delays":{"x":5}}`,
 		`{"cell":1}`,
 		`{"cell":0,"volumes":[0]}`,

@@ -144,12 +144,15 @@ func TestObserveRejectsUnknownStation(t *testing.T) {
 	assertObservesRejected(t, `{"cell":0,"delays":{"999":5}}`, `{"cell":0,"delays":{"-1":5}}`)
 }
 
-// TestObserveRejectsHostileDelays posts feedback with non-positive delays.
-// Accepted, one such body steered every later decide onto the station with
-// the hugely negative estimate; it must be rejected like an unknown station.
+// TestObserveRejectsHostileDelays posts feedback with non-positive or
+// implausibly large delays. Accepted, a negative one steered every later
+// decide onto the station with the hugely negative estimate, and 1e308 ms
+// dropped every later decide to the greedy rung; each must be rejected like an
+// unknown station.
 func TestObserveRejectsHostileDelays(t *testing.T) {
 	assertObservesRejected(t,
 		`{"cell":0,"delays":{"0":1e308,"1":-1e308}}`,
+		`{"cell":0,"delays":{"0":1e308,"1":1e308}}`,
 		`{"cell":0,"delays":{"0":0}}`,
 		`{"cell":0,"delays":{"2":-5}}`)
 }

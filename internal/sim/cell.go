@@ -27,10 +27,17 @@ var ErrBadVolumes = errors.New("sim: bad demand vector")
 // cell's network — a caller error, not a cell failure.
 var ErrBadStation = errors.New("sim: unknown station")
 
-// ErrBadDelay marks client-supplied feedback carrying a non-positive or
-// non-finite unit delay — a caller error, not a cell failure. One such value
-// would otherwise steer the learner's estimates for good.
+// ErrBadDelay marks client-supplied feedback carrying a non-positive,
+// non-finite or implausibly large unit delay — a caller error, not a cell
+// failure. One such value would otherwise steer the learner's estimates for
+// good.
 var ErrBadDelay = errors.New("sim: bad delay")
+
+// maxPlayedDelayMS is the largest unit delay (ms) client feedback may report:
+// 10^4 times the slowest station class's UnitDelayMax. One delay near the top
+// of the float64 range dropped every later OL_GD decide from the flow rung to
+// greedy.
+const maxPlayedDelayMS = 1e6
 
 // Cell is the step-wise decision engine for ONE MEC cell: the per-slot body
 // of the batch simulator (Runner.Run), factored out so a long-running server
@@ -281,15 +288,15 @@ func (r *Runner) validateVolumes(vols []float64) error {
 }
 
 // validatePlayed checks client-supplied feedback: only stations of the
-// network, each with a positive finite delay.
+// network, each with a delay in (0, maxPlayedDelayMS].
 func (r *Runner) validatePlayed(played map[int]float64) error {
 	n := r.net.NumStations()
 	for i, d := range played {
 		if i < 0 || i >= n {
 			return fmt.Errorf("%w: %d outside [0,%d)", ErrBadStation, i, n)
 		}
-		if math.IsNaN(d) || math.IsInf(d, 0) || d <= 0 {
-			return fmt.Errorf("%w: station %d reports %v (want positive finite)", ErrBadDelay, i, d)
+		if math.IsNaN(d) || d <= 0 || d > maxPlayedDelayMS {
+			return fmt.Errorf("%w: station %d reports %v (want (0, %g])", ErrBadDelay, i, d, maxPlayedDelayMS)
 		}
 	}
 	return nil

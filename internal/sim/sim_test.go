@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -290,4 +291,60 @@ func histFor(net *mec.Network) []float64 {
 		out[i] = (p.UnitDelayMin + p.UnitDelayMax) / 2
 	}
 	return out
+}
+
+// TestObserveBoundsClientDelays pins the ceiling on client-supplied delays.
+// Accepted, one observe of 1e308 ms knocked the next decides of OL_GD and
+// OL_GD/UCB onto the greedy rung; delays above the ceiling are rejected
+// without touching the cell, and delays at it keep the flow rung.
+func TestObserveBoundsClientDelays(t *testing.T) {
+	net, w := testEnv(t, 12, 20, 10)
+	policies := map[string]func() (algorithms.Policy, error){
+		"OL_GD": func() (algorithms.Policy, error) {
+			return algorithms.NewOLGD(algorithms.DefaultOLGDConfig(12))
+		},
+		"OL_GD/UCB": func() (algorithms.Policy, error) {
+			return algorithms.NewIndexOLGD(algorithms.IndexUCB, 12, 0, 7)
+		},
+	}
+	for name, mk := range policies {
+		t.Run(name, func(t *testing.T) {
+			r, err := NewRunner(net, w, Config{Seed: 7, DemandsGiven: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := r.NewCell(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Decide(nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []float64{1e308, math.Nextafter(maxPlayedDelayMS, math.Inf(1))} {
+				if err := c.Observe(map[int]float64{0: d, 1: d}, nil); !errors.Is(err, ErrBadDelay) {
+					t.Fatalf("observe %v: err = %v, want ErrBadDelay", d, err)
+				}
+			}
+			if err := c.Observe(map[int]float64{0: maxPlayedDelayMS, 1: maxPlayedDelayMS}, nil); err != nil {
+				t.Fatalf("observe at the ceiling: %v", err)
+			}
+			for k := 0; k < 3; k++ {
+				d, err := c.Decide(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Solver != string(caching.SolverFlow) || d.Degraded {
+					t.Fatalf("decide %d after the ceiling observe: solver=%q degraded=%v, want flow and not degraded",
+						k, d.Solver, d.Degraded)
+				}
+				if err := c.Observe(nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }

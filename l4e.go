@@ -98,14 +98,6 @@ type (
 	// SLOReport is an SLOTracker's current view: per-window burn rates plus
 	// the condensed ok/degraded/overloaded state.
 	SLOReport = obs.SLOReport
-	// HDR is a mergeable log-linear latency histogram (HdrHistogram layout):
-	// bounded relative error across sub-µs..minutes, exact merge of
-	// per-connection recorders, and coordinated-omission correction via
-	// RecordCorrected. cmd/mecload records every request into one.
-	HDR = obs.HDR
-	// HDRSnapshot is a frozen, JSON-friendly HDR summary (count, min/max,
-	// mean, p50/p90/p99/p99.9).
-	HDRSnapshot = obs.HDRSnapshot
 )
 
 // SLO health states reported by SLOTracker.Report and mecd's /healthz.
@@ -118,16 +110,6 @@ const (
 // NewSLOTracker builds a rolling-window SLO tracker for the decision server
 // (see SLOConfig; every field of the zero value gets a serving default).
 func NewSLOTracker(cfg SLOConfig) *SLOTracker { return obs.NewSLOTracker(cfg) }
-
-// NewLatencyHDR builds an HDR recorder spanning 1ns..10min at 2 significant
-// figures (~32KiB, relative error <= 1/128) — the load-generator default.
-func NewLatencyHDR() *HDR { return obs.NewLatencyHDR() }
-
-// NewHDR builds an HDR recorder over [lowest, highest] at the given
-// significant figures (1..5). See obs.NewHDR for the layout contract.
-func NewHDR(lowest, highest int64, sigfigs int) (*HDR, error) {
-	return obs.NewHDR(lowest, highest, sigfigs)
-}
 
 // Decision-server sentinel errors, re-exported so daemon clients (and
 // cmd/mecd's self-drive loop) can branch on backpressure vs shutdown.
