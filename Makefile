@@ -37,16 +37,15 @@ chaos:
 	$(GO) test ./internal/sim/ -run 'Blackout|Bandit|ZeroRate|FaultSchedule|DemandSurge|Failure'
 	$(GO) test -race -run 'Chaos|SolveBudget' -v .
 
-# Fuzz the parsers that ingest external input: the trace-CSV reader, the
-# chaos-spec grammar (which must also round-trip through Schedule.Spec), the
-# durable-state decoders (snapshot framing and WAL replay, which face
-# arbitrary torn/bit-flipped bytes after a crash), and the daemon's decide
-# and observe request bodies (no body may crash a shard worker) — plus the
-# network-simplex solver on arbitrary small graphs (never panics, invariants
-# always hold, agrees with SSP on non-negative costs).
+# Fuzz the parsers that ingest external input: the chaos-spec grammar (which
+# must also round-trip through Schedule.Spec), the durable-state decoders
+# (snapshot framing and WAL replay, which face arbitrary torn/bit-flipped
+# bytes after a crash), and the daemon's decide and observe request bodies
+# (no body may crash a shard worker) — plus the network-simplex solver on
+# arbitrary small graphs (never panics, invariants always hold, agrees with
+# the SSP referee in internal/flow/flowref on non-negative costs).
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test -fuzz=FuzzReadTraceCSV -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/faults/
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/persist/
 	$(GO) test -fuzz=FuzzReplayWAL -fuzztime=$(FUZZTIME) ./internal/persist/

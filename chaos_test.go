@@ -7,7 +7,7 @@ import (
 
 	"github.com/mecsim/l4e/internal/algorithms"
 	"github.com/mecsim/l4e/internal/caching"
-	"github.com/mecsim/l4e/internal/flow"
+	"github.com/mecsim/l4e/internal/flow/flowref"
 	"github.com/mecsim/l4e/internal/obs"
 )
 
@@ -92,7 +92,7 @@ func TestChaosMatrix(t *testing.T) {
 // network-simplex basis from slot to slot — under injected faults. A fault
 // that poisoned the carried basis would surface as a wrong slot optimum, so
 // every slot the flow rung solves must reach the LP objective the cold SSP
-// reference (flow.MinCostFlowWS) reaches on the same slot problem, within
+// referee (internal/flow/flowref) reaches on the same slot problem, within
 // 1e-9 relative. The run must also complete its horizon, actually warm-start,
 // and replay bit-identically.
 func TestChaosIncrementalWarmStateSurvivesFaults(t *testing.T) {
@@ -212,11 +212,11 @@ func (p *problemProbe) Decide(view *algorithms.SlotView) (*caching.Assignment, e
 // coldSSPObjective solves p's min-cost-flow lowering — source -> request
 // edges carrying rho_l*C_unit, request -> station edges priced per compute
 // unit with the instantiation delay amortised, station -> sink edges bounded
-// by capacity — with the cold SSP reference solver, and prices the resulting
+// by capacity — with the SSP referee, and prices the resulting
 // fractional solution with the LP objective (3) (y = max x).
 func coldSSPObjective(p *caching.Problem) (float64, error) {
 	L, N := len(p.Requests), p.NumStations
-	g := flow.NewGraph(2 + L + N)
+	g := flowref.NewGraph(2 + L + N)
 	sink := 1 + L + N
 	ids := make([]int, L*N)
 	total := 0.0
@@ -240,7 +240,7 @@ func coldSSPObjective(p *caching.Problem) (float64, error) {
 			return 0, err
 		}
 	}
-	if _, err := g.MinCostFlowWS(0, sink, total, flow.NewWorkspace()); err != nil {
+	if _, err := g.MinCostFlow(0, sink, total); err != nil {
 		return 0, err
 	}
 	y := make([][]float64, p.NumServices)

@@ -49,9 +49,11 @@ type finding struct {
 	Delta  float64 // relative change, sign-adjusted so positive = worse
 }
 
+// String prints the raw relative change new/old-1, so a throughput rise
+// reads positive even though its Delta is negative.
 func (f finding) String() string {
 	return fmt.Sprintf("%s %s: %s -> %s (%+.1f%%)",
-		f.Bench, f.Metric, compact(f.Old), compact(f.New), 100*f.Delta)
+		f.Bench, f.Metric, compact(f.Old), compact(f.New), 100*(f.New/f.Old-1))
 }
 
 // compact renders a value without trailing float noise.

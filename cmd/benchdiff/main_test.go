@@ -61,7 +61,10 @@ func TestDiffSignAdjustment(t *testing.T) {
 		t.Errorf("throughput up flagged as regression: %v", regs)
 	}
 	if len(imps) != 1 || imps[0].Delta >= 0 {
-		t.Errorf("throughput up should be an improvement with negative delta, got %v", imps)
+		t.Fatalf("throughput up should be an improvement with negative delta, got %v", imps)
+	}
+	if got, want := imps[0].String(), "D decisions_per_s: 100 -> 150 (+50.0%)"; got != want {
+		t.Errorf("throughput rise printed %q, want %q", got, want)
 	}
 }
 

@@ -178,9 +178,6 @@ func NewOLGAN(cfg OLGANConfig, basics []float64, clusters []int) (*OLGAN, error)
 // Name implements Policy.
 func (o *OLGAN) Name() string { return o.inner.Name() }
 
-// Trained reports whether the GAN has completed its first training round.
-func (o *OLGAN) Trained() bool { return o.trained }
-
 // SetObserver implements ObserverSetter: the inner OL_GD reports bandit and
 // solver series, the GAN reports per-epoch losses, and OLGAN itself counts
 // (re)training rounds and which predictor served each slot.
@@ -189,9 +186,6 @@ func (o *OLGAN) SetObserver(ob *obs.Observer) {
 	o.inner.SetObserver(ob)
 	o.model.SetObserver(ob)
 }
-
-// Model exposes the underlying Info-RNN-GAN (diagnostics).
-func (o *OLGAN) Model() *gan.InfoRNNGAN { return o.model }
 
 // Decide implements Policy (Algorithm 2, lines 2-11). Per-request state is
 // indexed by stable request ID so per-slot churn (R(t) subsets) is handled.

@@ -106,10 +106,10 @@ func TestNewOLGANValidation(t *testing.T) {
 	if g.Name() != "OL_GAN" {
 		t.Errorf("name = %q", g.Name())
 	}
-	if g.Trained() {
+	if g.trained {
 		t.Error("fresh policy claims trained")
 	}
-	if g.Model() == nil {
+	if g.model == nil {
 		t.Error("model accessor returned nil")
 	}
 }
@@ -136,12 +136,12 @@ func TestOLGANWarmupFallbackThenTrains(t *testing.T) {
 		if _, err := g.Decide(view); err != nil {
 			t.Fatalf("slot %d: %v", slot, err)
 		}
-		if slot < cfg.WarmupSlots && g.Trained() {
+		if slot < cfg.WarmupSlots && g.trained {
 			t.Fatalf("trained during warmup at slot %d", slot)
 		}
 		g.Observe(&Observation{T: slot, TrueVolumes: []float64{2, 3, 2, 3, 2, 3}})
 	}
-	if !g.Trained() {
+	if !g.trained {
 		t.Error("never trained after warmup")
 	}
 	// Post-training volumes must still be clamped at basic demand.
@@ -218,7 +218,7 @@ func TestOLGANFeatureDimZeroWorks(t *testing.T) {
 		}
 		g.Observe(&Observation{T: slot, TrueVolumes: []float64{2, 2.5, 2, 2.5, 2, 2.5}})
 	}
-	if !g.Trained() {
+	if !g.trained {
 		t.Error("never trained")
 	}
 }

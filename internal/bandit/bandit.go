@@ -54,9 +54,6 @@ func NewArmsWithPriors(priors []float64) *Arms {
 	return a
 }
 
-// Len reports the number of arms.
-func (a *Arms) Len() int { return len(a.count) }
-
 // Observe records one delay sample for arm i (Welford update). Non-finite
 // samples — corrupted feedback from a broken telemetry path — are rejected
 // outright: one NaN folded into the running mean would poison the arm's
@@ -106,15 +103,6 @@ func (a *Arms) Variance(i int) float64 {
 		return 0
 	}
 	return a.m2[i] / float64(a.count[i]-1)
-}
-
-// TotalPlays sums m_i over arms.
-func (a *Arms) TotalPlays() int {
-	total := 0
-	for _, c := range a.count {
-		total += c
-	}
-	return total
 }
 
 // PlayedArms counts arms observed at least once — the learner's coverage of

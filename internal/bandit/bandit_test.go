@@ -23,9 +23,6 @@ func TestArmsObserveMean(t *testing.T) {
 	if a.Count(0) != 2 || a.Count(1) != 0 {
 		t.Errorf("counts = %d,%d, want 2,0", a.Count(0), a.Count(1))
 	}
-	if a.TotalPlays() != 2 {
-		t.Errorf("total plays = %d, want 2", a.TotalPlays())
-	}
 }
 
 func TestArmsVariance(t *testing.T) {
@@ -242,103 +239,6 @@ func TestPropertyRegretNonNegativeMonotone(t *testing.T) {
 	}
 }
 
-func TestWindowArmsValidation(t *testing.T) {
-	if _, err := NewWindowArms(0, []float64{1}); err == nil {
-		t.Error("window 0 accepted")
-	}
-	if _, err := NewWindowArms(5, nil); err == nil {
-		t.Error("no arms accepted")
-	}
-}
-
-func TestWindowArmsSlides(t *testing.T) {
-	w, err := NewWindowArms(3, []float64{10, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != 2 {
-		t.Errorf("len = %d", w.Len())
-	}
-	if w.Mean(0) != 10 {
-		t.Errorf("unplayed mean = %v, want prior 10", w.Mean(0))
-	}
-	for _, v := range []float64{1, 2, 3} {
-		w.Observe(0, v)
-	}
-	if w.Mean(0) != 2 {
-		t.Errorf("mean = %v, want 2", w.Mean(0))
-	}
-	// Sliding: the 1 is evicted.
-	w.Observe(0, 9)
-	if got := w.Mean(0); got != (2+3+9)/3.0 {
-		t.Errorf("slid mean = %v, want %v", got, (2+3+9)/3.0)
-	}
-	if w.Count(0) != 3 || w.Count(1) != 0 {
-		t.Errorf("counts = %d,%d", w.Count(0), w.Count(1))
-	}
-	means := w.Means()
-	if means[1] != 10 {
-		t.Errorf("means[1] = %v, want prior", means[1])
-	}
-}
-
-func TestWindowArmsTracksNonStationary(t *testing.T) {
-	// A regime switch from 20 to 5 must be forgotten within one window,
-	// while the plain Arms mean stays anchored.
-	w, err := NewWindowArms(5, []float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := NewArms(1, 0)
-	for i := 0; i < 50; i++ {
-		w.Observe(0, 20)
-		plain.Observe(0, 20)
-	}
-	for i := 0; i < 5; i++ {
-		w.Observe(0, 5)
-		plain.Observe(0, 5)
-	}
-	if got := w.Mean(0); got != 5 {
-		t.Errorf("windowed mean = %v, want 5 after regime switch", got)
-	}
-	if plain.Mean(0) < 15 {
-		t.Errorf("plain mean = %v, expected to stay anchored near 20", plain.Mean(0))
-	}
-}
-
-func TestPropertyWindowArmsMatchesTrailingMean(t *testing.T) {
-	f := func(seed int64, winByte uint8) bool {
-		win := 1 + int(winByte)%8
-		w, err := NewWindowArms(win, []float64{0})
-		if err != nil {
-			return false
-		}
-		rng := rand.New(rand.NewSource(seed))
-		var hist []float64
-		for i := 0; i < 30; i++ {
-			v := rng.Float64() * 100
-			hist = append(hist, v)
-			w.Observe(0, v)
-			start := len(hist) - win
-			if start < 0 {
-				start = 0
-			}
-			sum := 0.0
-			for _, x := range hist[start:] {
-				sum += x
-			}
-			want := sum / float64(len(hist[start:]))
-			if math.Abs(w.Mean(0)-want) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestObserveRejectsNonFiniteSamples(t *testing.T) {
 	a := NewArms(2, 1)
 	a.Observe(0, 10)
@@ -358,17 +258,5 @@ func TestObserveRejectsNonFiniteSamples(t *testing.T) {
 	a.Observe(1, math.NaN())
 	if got := a.Mean(1); math.IsNaN(got) || got != 1 {
 		t.Errorf("untouched arm mean = %v, want prior 1", got)
-	}
-
-	w, err := NewWindowArms(4, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Observe(0, 10)
-	if w.Observe(0, math.NaN()) {
-		t.Error("WindowArms ingested NaN")
-	}
-	if got := w.Mean(0); got != 10 {
-		t.Errorf("window mean = %v, want 10", got)
 	}
 }

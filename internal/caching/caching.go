@@ -228,7 +228,7 @@ func (a *Assignment) Instances(p *Problem) map[[2]int]bool {
 }
 
 // _exactVarLimit bounds the |R|*|BS| product for which the dense simplex is
-// used; beyond it SolveLP switches to the flow reformulation. The dense
+// used; beyond it SolveLPWS switches to the flow reformulation. The dense
 // tableau costs O((L+N+LN)^2) memory and cubic-ish pivoting time, so only
 // small instances stay on the exact path in per-slot use.
 const _exactVarLimit = 200
@@ -438,15 +438,10 @@ func (ws *Workspace) result(L, N, K int) *Fractional {
 	return &Fractional{X: ws.xRows, Y: ws.yRows}
 }
 
-// SolveLP solves the LP relaxation, dispatching on instance size.
-func (p *Problem) SolveLP() (*Fractional, error) {
-	return p.SolveLPWS(nil)
-}
-
-// SolveLPWS is SolveLP with a reusable workspace (nil allocates a throwaway
-// one, matching SolveLP exactly). Workspace reuse changes where the solver's
-// buffers live, never the arithmetic: results are bit-identical to the
-// fresh-allocation path.
+// SolveLPWS solves the LP relaxation, dispatching on instance size, with a
+// reusable workspace (nil allocates a throwaway one). Workspace reuse changes
+// where the solver's buffers live, never the arithmetic: results are
+// bit-identical to the fresh-allocation path.
 func (p *Problem) SolveLPWS(ws *Workspace) (*Fractional, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -457,17 +452,12 @@ func (p *Problem) SolveLPWS(ws *Workspace) (*Fractional, error) {
 	return p.SolveLPFlowWS(ws)
 }
 
-// SolveLPExact lowers the relaxation of ILP (3)-(7) to internal/lp and lifts
-// the solution back. Intended for small instances and as the oracle against
-// which SolveLPFlow is validated.
-func (p *Problem) SolveLPExact() (*Fractional, error) {
-	return p.SolveLPExactWS(nil)
-}
-
-// SolveLPExactWS is SolveLPExact with a reusable workspace. When the instance
-// shape matches the previous solve on ws (same L, N, K and per-request
-// service pattern), only the objective costs and the capacity rows of the
-// cached lp.Problem are rewritten in place; otherwise the problem is rebuilt.
+// SolveLPExactWS lowers the relaxation of ILP (3)-(7) to internal/lp and
+// lifts the solution back. Intended for small instances and as the oracle
+// against which SolveLPFlowWS is validated. When the instance shape matches
+// the previous solve on ws (same L, N, K and per-request service pattern),
+// only the objective costs and the capacity rows of the cached lp.Problem are
+// rewritten in place; otherwise the problem is rebuilt.
 func (p *Problem) SolveLPExactWS(ws *Workspace) (*Fractional, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -610,19 +600,16 @@ func (p *Problem) SolveLPExactWS(ws *Workspace) (*Fractional, error) {
 	return frac, nil
 }
 
-// SolveLPFlow solves a min-cost-flow relaxation of the instance: requests
+// SolveLPFlowWS solves a min-cost-flow relaxation of the instance: requests
 // supply rho_l * C_unit compute units, stations absorb up to C_i, and the
 // per-unit edge cost folds in theta_i, access latency, and the instantiation
 // delay amortised per request. The amortisation makes the flow objective an
 // upper bound on the true LP objective; the x fractions it produces are what
 // Algorithm 1 consumes (candidate sets + probabilities), and tests verify
 // they track the exact LP closely on overlapping sizes.
-func (p *Problem) SolveLPFlow() (*Fractional, error) {
-	return p.SolveLPFlowWS(nil)
-}
-
-// SolveLPFlowWS is SolveLPFlow with a reusable workspace, solved by the
-// network simplex (flow.MinCostFlowSimplexWS). The graph topology depends
+//
+// The network simplex (flow.MinCostFlowSimplexWS) solves it on a reusable
+// workspace (nil allocates a throwaway one). The graph topology depends
 // only on (L, N), so when consecutive solves match, every edge is rewritten
 // in place via flow.Graph.SetEdge — no node or adjacency rebuild. An
 // unchanged slot skips outright, and any changed slot re-optimises the
@@ -781,11 +768,6 @@ func (p *Problem) extractFlow(ws *Workspace, frac *Fractional) {
 			}
 		}
 	}
-}
-
-// SolveLPLadder is SolveLPLadderWS with a throwaway workspace.
-func (p *Problem) SolveLPLadder() (*Fractional, error) {
-	return p.SolveLPLadderWS(nil)
 }
 
 // SolveLPLadderWS is the graceful-degradation solve path: it runs the same
@@ -990,24 +972,6 @@ func (p *Problem) EvaluateWarm(a *Assignment, actualUnitDelayMS []float64, prevI
 		}
 	}
 	return total / float64(len(p.Requests)), feasible, instances, nil
-}
-
-// EstimatedCost computes objective (3) of an integral assignment under the
-// problem's theta estimates (used by greedy/priority policies to rank moves).
-func (p *Problem) EstimatedCost(a *Assignment) float64 {
-	total := 0.0
-	for l, i := range a.BS {
-		total += p.AssignCost(l, i)
-	}
-	instances := a.Instances(p)
-	for k := 0; k < p.NumServices; k++ {
-		for i := 0; i < p.NumStations; i++ {
-			if instances[[2]int{k, i}] {
-				total += p.InstDelayMS[i][k]
-			}
-		}
-	}
-	return total / float64(len(p.Requests))
 }
 
 func sum(v []float64) float64 {

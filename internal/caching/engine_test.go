@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/mecsim/l4e/internal/flow/flowref"
 )
 
 // Differential coverage: SolveLPFlowWS solves the lowered min-cost-flow
 // instance with the network simplex, cold or warm from a carried basis, and
-// must reach the optimum the cold successive-shortest-paths reference
-// (flow.MinCostFlowWS) reaches. The comparable quantity is the flow
+// must reach the optimum the successive-shortest-paths referee
+// (internal/flow/flowref) reaches. The comparable quantity is the flow
 // objective — the amortised per-unit cost both solvers minimise — not
 // Fractional.Objective, which is recomputed in LP terms (y = max x) and can
 // differ between distinct optimal vertices of the same polytope.
@@ -31,20 +33,49 @@ func amortisedCost(p *Problem, f *Fractional) float64 {
 	return total
 }
 
-// coldSSP solves p's flow lowering on a fresh workspace with the cold SSP
-// reference solver and lifts the result exactly as SolveLPFlowWS does.
+// coldSSP lowers p to a min-cost flow exactly as lowerFlowGraph does (same
+// nodes, edges, edge order and per-unit costs), solves it with the SSP
+// referee, and lifts the result as extractFlow and SolveLPFlowWS do.
 func coldSSP(p *Problem) (*Fractional, error) {
-	ws := NewWorkspace()
-	g, totalSupply, _, err := p.lowerFlowGraph(ws)
-	if err != nil {
-		return nil, err
-	}
 	L, N := len(p.Requests), p.NumStations
-	if _, err := g.MinCostFlowWS(0, 1+L+N, totalSupply, ws.flowWS); err != nil {
+	g := flowref.NewGraph(2 + L + N)
+	asg := make([]int, L*N)
+	total := 0.0
+	for l, r := range p.Requests {
+		supply := r.Volume * p.CUnit
+		total += supply
+		if _, err := g.AddEdge(0, 1+l, supply, 0); err != nil {
+			return nil, err
+		}
+		for i := 0; i < N; i++ {
+			perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][r.Service]) / supply
+			id, err := g.AddEdge(1+l, 1+L+i, supply, perUnit)
+			if err != nil {
+				return nil, err
+			}
+			asg[l*N+i] = id
+		}
+	}
+	for i := 0; i < N; i++ {
+		if _, err := g.AddEdge(1+L+i, 1+L+N, p.CapacityMHz[i], 0); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := g.MinCostFlow(0, 1+L+N, total); err != nil {
 		return nil, err
 	}
-	frac := ws.result(L, N, p.NumServices)
-	p.extractFlow(ws, frac)
+	frac := NewWorkspace().result(L, N, p.NumServices)
+	for l, r := range p.Requests {
+		supply := r.Volume * p.CUnit
+		for i := 0; i < N; i++ {
+			x := g.Flow(asg[l*N+i]) / supply
+			if x < 1e-12 {
+				continue
+			}
+			frac.X[l][i] = x
+			frac.Y[r.Service][i] = math.Max(frac.Y[r.Service][i], x)
+		}
+	}
 	frac.Objective = p.fracObjective(frac)
 	return frac, nil
 }
@@ -64,7 +95,7 @@ func TestPropertyFlowEnginesAgree(t *testing.T) {
 		}
 		sspCost := amortisedCost(p, ssp)
 
-		spx, err := p.SolveLPFlow()
+		spx, err := p.SolveLPFlowWS(NewWorkspace())
 		if err != nil {
 			t.Fatalf("seed %d: simplex engine: %v", seed, err)
 		}

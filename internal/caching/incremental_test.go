@@ -37,7 +37,7 @@ func TestIncrementalUnchangedSkipBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
 			p := randomProblem(rng, tc.L, tc.N, tc.K)
-			fresh, err := p.SolveLP()
+			fresh, err := p.SolveLPWS(NewWorkspace())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestIncrementalCertificateSkip(t *testing.T) {
 	if !got.Stats.WarmStarted || got.Stats.BasisRebuilt || got.Stats.Pivots != 0 {
 		t.Fatalf("cost-only drift off the optimal routing not certified by the carried basis: %+v", got.Stats)
 	}
-	cold, err := p.SolveLPFlow()
+	cold, err := p.SolveLPFlowWS(NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestIncrementalChaosSequenceSurvivesFaults(t *testing.T) {
 	if recovered.Stats.WarmStarted || recovered.Stats.Skipped {
 		t.Fatalf("first post-outage solve reused state: %+v", recovered.Stats)
 	}
-	fresh, err := p.SolveLP()
+	fresh, err := p.SolveLPWS(NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}

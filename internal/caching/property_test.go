@@ -147,13 +147,13 @@ func checkCapacities(t *testing.T, p *Problem, f *Fractional, who string) {
 // random LP-feasible instances: each must satisfy the assignment, coupling,
 // and capacity constraints, the flow objective must stay an upper bound on
 // the exact LP within the amortisation error bound, and the size dispatch of
-// SolveLP must pick the documented backend.
+// SolveLPWS must pick the documented backend.
 func TestPropertyFeasibleBackendsAgree(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randProblem(rng, true)
 
-		exact, err := p.SolveLPExact()
+		exact, err := p.SolveLPExactWS(NewWorkspace())
 		if err != nil {
 			t.Fatalf("seed %d: exact on feasible instance: %v", seed, err)
 		}
@@ -166,7 +166,7 @@ func TestPropertyFeasibleBackendsAgree(t *testing.T) {
 			t.Fatalf("seed %d: exact objective %v but recomputed %v", seed, exact.Objective, re)
 		}
 
-		fl, err := p.SolveLPFlow()
+		fl, err := p.SolveLPFlowWS(NewWorkspace())
 		if err != nil {
 			t.Fatalf("seed %d: flow on feasible instance: %v", seed, err)
 		}
@@ -195,9 +195,9 @@ func TestPropertyFeasibleBackendsAgree(t *testing.T) {
 		}
 
 		// Size dispatch: small instances take the simplex, large the flow.
-		dispatched, err := p.SolveLP()
+		dispatched, err := p.SolveLPWS(NewWorkspace())
 		if err != nil {
-			t.Fatalf("seed %d: SolveLP: %v", seed, err)
+			t.Fatalf("seed %d: SolveLPWS: %v", seed, err)
 		}
 		wantSolver := SolverFlow
 		if len(p.Requests)*p.NumStations <= _exactVarLimit {
@@ -221,7 +221,7 @@ func TestPropertyLadderNeverFails(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randProblem(rng, false)
 
-		f, err := p.SolveLPLadder()
+		f, err := p.SolveLPLadderWS(NewWorkspace())
 		if err != nil {
 			t.Fatalf("seed %d: ladder failed: %v", seed, err)
 		}
@@ -326,7 +326,7 @@ func TestPropertyIncrementalDriftAgreesWithCold(t *testing.T) {
 						seed, step, i, u, p.CapacityMHz[i])
 				}
 			}
-			cold, err := p.SolveLP()
+			cold, err := p.SolveLPWS(NewWorkspace())
 			if err != nil {
 				t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
 			}
@@ -357,7 +357,7 @@ func TestPropertyWorkspaceReuseBitIdentical(t *testing.T) {
 	for seed := int64(2000); seed < 2050; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randProblem(rng, true)
-		fresh, err := p.SolveLP()
+		fresh, err := p.SolveLPWS(NewWorkspace())
 		if err != nil {
 			t.Fatalf("seed %d: fresh: %v", seed, err)
 		}

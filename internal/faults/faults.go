@@ -141,21 +141,6 @@ func NewSchedule(numStations int, injs ...Injector) (*Schedule, error) {
 // NumStations reports the station count the schedule was built for.
 func (s *Schedule) NumStations() int { return s.n }
 
-// Len reports the number of composed injectors.
-func (s *Schedule) Len() int { return len(s.injs) }
-
-// Empty reports whether the schedule can never inject anything.
-func (s *Schedule) Empty() bool { return s == nil || len(s.injs) == 0 }
-
-// Injectors returns the composed injector names, in application order.
-func (s *Schedule) Injectors() []string {
-	out := make([]string, len(s.injs))
-	for i, inj := range s.injs {
-		out[i] = inj.Name()
-	}
-	return out
-}
-
 // InjectorList returns the composed injectors themselves, in application
 // order (for callers that rebuild a schedule with extra injectors, e.g. the
 // simulator's legacy failure-config shim).
@@ -323,9 +308,6 @@ func (r *RegionalOutage) Name() string { return "regional-outage" }
 func (r *RegionalOutage) Spec() string {
 	return fmt.Sprintf("regional:%s:%d", ftoa(r.Rate), r.DownSlots)
 }
-
-// Regions exposes the derived region membership (diagnostics and tests).
-func (r *RegionalOutage) Regions() [][]int { return r.regions }
 
 // Reset implements Injector.
 func (r *RegionalOutage) Reset() {

@@ -66,7 +66,7 @@ func TestRegionalOutageTakesDownWholeRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions := r.Regions()
+	regions := r.regions
 	if len(regions) == 0 {
 		t.Fatal("no regions derived")
 	}
@@ -222,7 +222,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sched.Empty() {
+	if len(sched.injs) != 0 {
 		t.Error("empty spec produced a non-empty schedule")
 	}
 }

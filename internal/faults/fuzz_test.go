@@ -116,8 +116,8 @@ func FuzzParse(f *testing.F) {
 		if again := s2.Spec(); again != canon {
 			t.Fatalf("Spec not a fixed point: %q → %q", canon, again)
 		}
-		if s2.Len() != s1.Len() || s2.NumStations() != s1.NumStations() {
-			t.Fatalf("round-trip changed shape: %d/%d injectors", s1.Len(), s2.Len())
+		if len(s2.injs) != len(s1.injs) || s2.NumStations() != s1.NumStations() {
+			t.Fatalf("round-trip changed shape: %d/%d injectors", len(s1.injs), len(s2.injs))
 		}
 		for slot := 0; slot < 20; slot++ {
 			e1 := s1.Apply(slot)

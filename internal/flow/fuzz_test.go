@@ -43,7 +43,7 @@ func FuzzMinCostFlowSimplex(f *testing.F) {
 		}
 
 		gSpx := build()
-		res, err := gSpx.MinCostFlowSimplex(0, n-1, want)
+		res, err := gSpx.MinCostFlowSimplexWS(0, n-1, want, nil)
 		if err != nil && !errors.Is(err, ErrDisconnected) {
 			// Capacities here are all finite, so unbounded is impossible; a
 			// pivot-budget blow-up would mean the anti-cycling rule failed.
@@ -81,7 +81,7 @@ func FuzzMinCostFlowSimplex(f *testing.F) {
 			return
 		}
 		gSSP := build()
-		ref, refErr := gSSP.MinCostFlowWS(0, n-1, want, nil)
+		ref, refErr := sspSolve(gSSP, 0, n-1, want)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("feasibility disagreement: simplex err=%v, ssp err=%v (want %v)", err, refErr, want)
 		}

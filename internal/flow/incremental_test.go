@@ -58,7 +58,7 @@ func (tg *transportGraph) total() float64 {
 func coldCost(t *testing.T, tg *transportGraph) float64 {
 	t.Helper()
 	ref := buildTransport(t, tg.supply, tg.caps, tg.costs)
-	res, err := ref.g.MinCostFlow(ref.source, ref.sinkID, ref.total())
+	res, err := sspSolve(ref.g, ref.source, ref.sinkID, ref.total())
 	if err != nil {
 		t.Fatalf("cold reference solve: %v", err)
 	}

@@ -53,10 +53,10 @@ func loadGraphFixture(t *testing.T, path string) (g *Graph, s, snk int, want flo
 // with the network simplex.
 func TestSSPSettlesEachNodeOnce(t *testing.T) {
 	g, s, snk, want := loadGraphFixture(t, "testdata/ssp_runaway.txt")
-	if g.NumNodes() != 92 || g.NumEdges() != 1890 {
-		t.Fatalf("fixture has %d nodes, %d edges; want 92, 1890", g.NumNodes(), g.NumEdges())
+	if g.n != 92 || len(g.edges)/2 != 1890 {
+		t.Fatalf("fixture has %d nodes, %d edges; want 92, 1890", g.n, len(g.edges)/2)
 	}
-	ssp, err := g.MinCostFlowWS(s, snk, want, NewWorkspace())
+	ssp, err := sspSolve(g, s, snk, want)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,18 @@
 package flow
 
-// simplex.go implements a primal network-simplex solver for the same
-// min-cost-flow problems MinCostFlowWS solves with successive shortest paths.
-// Where SSP pays one Dijkstra per distinct augmenting-path cost — ~110 phases
-// on a drifting assignment slot — the simplex re-optimises by basis exchanges:
-// a spanning-tree basis with parent/pred/depth/thread indices, candidate-list
-// pricing over reduced costs, leaving-arc selection by minimum ratio, and the
-// strongly-feasible-tree rule (last blocking arc in cycle orientation from
-// the apex) so degenerate zero-flow pivots cannot cycle. Bland's smallest-
-// index rule kicks in as an anti-stalling fallback after a run of consecutive
-// degenerate pivots, and a generous pivot budget backstops termination
-// outright. The basis survives in the Workspace between solves, so a warm
-// solve on a drifted instance re-prices the carried tree and reaches the new
-// optimum in a handful of pivots instead of re-routing everything.
+// simplex.go implements the package's min-cost-flow solver, a primal network
+// simplex. Where successive shortest paths pays one Dijkstra per distinct
+// augmenting-path cost — ~110 phases on a drifting assignment slot — the
+// simplex re-optimises by basis exchanges: a spanning-tree basis with
+// parent/pred/depth/thread indices, candidate-list pricing over reduced costs,
+// leaving-arc selection by minimum ratio, and the strongly-feasible-tree rule
+// (last blocking arc in cycle orientation from the apex) so degenerate
+// zero-flow pivots cannot cycle. Bland's smallest-index rule kicks in as an
+// anti-stalling fallback after a run of consecutive degenerate pivots, and a
+// generous pivot budget backstops termination outright. The basis survives in
+// the Workspace between solves, so a warm solve on a drifted instance
+// re-prices the carried tree and reaches the new optimum in a handful of
+// pivots instead of re-routing everything.
 
 import (
 	"errors"
@@ -76,21 +76,16 @@ type spxRun struct {
 	bland  bool // Bland's-rule mode (anti-stalling fallback)
 }
 
-// MinCostFlowSimplex is MinCostFlowSimplexWS with a throwaway workspace.
-func (g *Graph) MinCostFlowSimplex(s, t int, want float64) (Result, error) {
-	return g.MinCostFlowSimplexWS(s, t, want, NewWorkspace())
-}
-
 // MinCostFlowSimplexWS sends exactly want units from s to t at minimum cost
 // using the primal network simplex, always building a fresh basis (the cold
 // path: deterministic regardless of workspace history). The solved basis is
 // left in the workspace for MinCostFlowSimplexWarmWS to reuse. Flows are
-// written back onto the graph's edges, so Flow(id) reads the solution exactly
-// as after MinCostFlowWS. If want cannot be fully routed the routable part is
-// still solved at minimum cost and ErrDisconnected returned. Unlike the SSP
-// solvers, want must be finite (use MinCostFlowWS for max-flow), and graphs
-// containing a negative-cost cycle are solved to the true bounded optimum
-// (the cycle saturates) rather than rejected.
+// written back onto the graph's edges, where Flow(id) reads them. If want
+// cannot be fully routed the routable part is still solved at minimum cost
+// and ErrDisconnected returned. want must be finite (there is no max-flow
+// mode), and graphs containing a negative-cost cycle are solved to the true
+// bounded optimum (the cycle saturates) rather than rejected. A nil ws
+// solves on a throwaway workspace.
 func (g *Graph) MinCostFlowSimplexWS(s, t int, want float64, ws *Workspace) (Result, error) {
 	return g.simplexSolve(s, t, want, ws, false)
 }
@@ -121,7 +116,7 @@ func (g *Graph) simplexSolve(s, t int, want float64, ws *Workspace, warm bool) (
 		return Result{}, fmt.Errorf("flow: invalid flow value %v", want)
 	}
 	if math.IsInf(want, 1) {
-		return Result{}, errors.New("flow: simplex solves a fixed flow value; use MinCostFlowWS for max-flow")
+		return Result{}, errors.New("flow: simplex solves a fixed flow value, not max-flow")
 	}
 	if g.n >= math.MaxInt32 {
 		return Result{}, fmt.Errorf("flow: simplex supports fewer than %d nodes, graph has %d", math.MaxInt32, g.n)

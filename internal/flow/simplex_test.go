@@ -84,7 +84,7 @@ func randTransportSpec(seed int64) (supply, caps []float64, costs [][]float64) {
 func TestSimplexSingleEdge(t *testing.T) {
 	g := NewGraph(2)
 	id := mustEdge(t, g, 0, 1, 5, 3)
-	res, err := g.MinCostFlowSimplex(0, 1, 4)
+	res, err := g.MinCostFlowSimplexWS(0, 1, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSimplexChoosesCheaperPath(t *testing.T) {
 	mustEdge(t, g, 1, 3, 10, 1)
 	mustEdge(t, g, 0, 2, 10, 5)
 	mustEdge(t, g, 2, 3, 10, 5)
-	res, err := g.MinCostFlowSimplex(0, 3, 6)
+	res, err := g.MinCostFlowSimplexWS(0, 3, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSimplexDisconnected(t *testing.T) {
 	mustEdge(t, g, 0, 1, 5, 1)
 	// Node 2..3 unreachable from 0.
 	mustEdge(t, g, 2, 3, 5, 1)
-	res, err := g.MinCostFlowSimplex(0, 3, 3)
+	res, err := g.MinCostFlowSimplexWS(0, 3, 3, nil)
 	if !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("err = %v, want ErrDisconnected", err)
 	}
@@ -135,7 +135,7 @@ func TestSimplexPartialRoutability(t *testing.T) {
 	g := NewGraph(3)
 	mustEdge(t, g, 0, 1, 3, 2)
 	mustEdge(t, g, 1, 2, 10, 1)
-	res, err := g.MinCostFlowSimplex(0, 2, 7)
+	res, err := g.MinCostFlowSimplexWS(0, 2, 7, nil)
 	if !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("err = %v, want ErrDisconnected", err)
 	}
@@ -147,7 +147,7 @@ func TestSimplexPartialRoutability(t *testing.T) {
 func TestSimplexZeroWant(t *testing.T) {
 	g := NewGraph(2)
 	mustEdge(t, g, 0, 1, 5, 3)
-	res, err := g.MinCostFlowSimplex(0, 1, 0)
+	res, err := g.MinCostFlowSimplexWS(0, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,19 +159,19 @@ func TestSimplexZeroWant(t *testing.T) {
 func TestSimplexInvalidInputs(t *testing.T) {
 	g := NewGraph(3)
 	mustEdge(t, g, 0, 1, 5, 1)
-	if _, err := g.MinCostFlowSimplex(0, 0, 1); err == nil {
+	if _, err := g.MinCostFlowSimplexWS(0, 0, 1, nil); err == nil {
 		t.Error("accepted source == sink")
 	}
-	if _, err := g.MinCostFlowSimplex(-1, 1, 1); err == nil {
+	if _, err := g.MinCostFlowSimplexWS(-1, 1, 1, nil); err == nil {
 		t.Error("accepted out-of-range source")
 	}
-	if _, err := g.MinCostFlowSimplex(0, 1, math.Inf(1)); err == nil {
+	if _, err := g.MinCostFlowSimplexWS(0, 1, math.Inf(1), nil); err == nil {
 		t.Error("accepted infinite want (max-flow is SSP's job)")
 	}
-	if _, err := g.MinCostFlowSimplex(0, 1, -2); err == nil {
+	if _, err := g.MinCostFlowSimplexWS(0, 1, -2, nil); err == nil {
 		t.Error("accepted negative want")
 	}
-	if _, err := g.MinCostFlowSimplex(0, 1, math.NaN()); err == nil {
+	if _, err := g.MinCostFlowSimplexWS(0, 1, math.NaN(), nil); err == nil {
 		t.Error("accepted NaN want")
 	}
 }
@@ -188,11 +188,11 @@ func TestSimplexNegativeCosts(t *testing.T) {
 	mustEdge(t, ref, 1, 3, 5, 3)
 	mustEdge(t, ref, 0, 2, 5, 4)
 	mustEdge(t, ref, 2, 3, 5, -1)
-	want, err := ref.MinCostFlow(0, 3, 8)
+	want, err := sspSolve(ref, 0, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.MinCostFlowSimplex(0, 3, 8)
+	got, err := g.MinCostFlowSimplexWS(0, 3, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,18 +215,18 @@ func TestSimplexDifferential500(t *testing.T) {
 			// copy), scaled down on every third instance to exercise interior
 			// flow values.
 			probe, s, snk := randGeneral(seed)
-			mf, _ := probe.MinCostFlowWS(s, snk, math.Inf(1), nil)
+			mf, _ := sspSolve(probe, s, snk, math.Inf(1))
 			want := mf.Flow
 			if seed%3 == 0 {
 				want *= 0.6
 			}
 			gSSP, _, _ := randGeneral(seed)
 			gSpx, _, _ := randGeneral(seed)
-			ref, err := gSSP.MinCostFlowWS(s, snk, want, nil)
+			ref, err := sspSolve(gSSP, s, snk, want)
 			if err != nil {
 				t.Fatalf("seed %d: SSP on feasible want %v: %v", seed, want, err)
 			}
-			got, err := gSpx.MinCostFlowSimplex(s, snk, want)
+			got, err := gSpx.MinCostFlowSimplexWS(s, snk, want, nil)
 			if err != nil {
 				t.Fatalf("seed %d: simplex on feasible want %v: %v", seed, want, err)
 			}
@@ -243,11 +243,11 @@ func TestSimplexDifferential500(t *testing.T) {
 			supply, caps, costs := randTransportSpec(seed)
 			tgSSP := buildTransport(t, supply, caps, costs)
 			tgSpx := buildTransport(t, supply, caps, costs)
-			ref, err := tgSSP.g.MinCostFlow(tgSSP.source, tgSSP.sinkID, tgSSP.total())
+			ref, err := sspSolve(tgSSP.g, tgSSP.source, tgSSP.sinkID, tgSSP.total())
 			if err != nil {
 				t.Fatalf("seed %d: SSP transport: %v", seed, err)
 			}
-			got, err := tgSpx.g.MinCostFlowSimplex(tgSpx.source, tgSpx.sinkID, tgSpx.total())
+			got, err := tgSpx.g.MinCostFlowSimplexWS(tgSpx.source, tgSpx.sinkID, tgSpx.total(), nil)
 			if err != nil {
 				t.Fatalf("seed %d: simplex transport: %v", seed, err)
 			}
@@ -265,10 +265,10 @@ func TestSimplexDifferential500(t *testing.T) {
 func TestSimplexDifferentialInfeasible(t *testing.T) {
 	for seed := int64(5000); seed < 5100; seed++ {
 		probe, s, snk := randGeneral(seed)
-		mf, _ := probe.MinCostFlowWS(s, snk, math.Inf(1), nil)
+		mf, _ := sspSolve(probe, s, snk, math.Inf(1))
 		want := mf.Flow + 3 // strictly above the max flow
 		gSpx, _, _ := randGeneral(seed)
-		res, err := gSpx.MinCostFlowSimplex(s, snk, want)
+		res, err := gSpx.MinCostFlowSimplexWS(s, snk, want, nil)
 		if !errors.Is(err, ErrDisconnected) {
 			t.Fatalf("seed %d: err = %v on want %v > maxflow %v", seed, err, want, mf.Flow)
 		}
@@ -301,14 +301,14 @@ func TestSimplexDegenerateZeroCapacity(t *testing.T) {
 	}
 	mustEdge(t, g, 2, 3, 0, 0)
 	mustEdge(t, g, 3, 2, 0, 0)
-	res, err := g.MinCostFlowSimplex(0, 5, 4)
+	res, err := g.MinCostFlowSimplexWS(0, 5, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Cost-8) > 1e-9 {
 		t.Fatalf("cost %v, want 8", res.Cost)
 	}
-	if budget := 32*(g.NumEdges()+g.n+1) + 1024; res.Pivots >= budget {
+	if budget := 32*(len(g.edges)/2+g.n+1) + 1024; res.Pivots >= budget {
 		t.Fatalf("pivots %d at the budget %d", res.Pivots, budget)
 	}
 }
@@ -327,7 +327,7 @@ func TestSimplexDegenerateParallelArcs(t *testing.T) {
 		mustEdge(t, g, 1, 2, 0, 3)
 		mustEdge(t, g, 2, 3, 0, 2)
 	}
-	res, err := g.MinCostFlowSimplex(0, 3, 8)
+	res, err := g.MinCostFlowSimplexWS(0, 3, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,15 +368,15 @@ func TestSimplexDegenerateRandomised(t *testing.T) {
 			return g
 		}
 		probe := build()
-		mf, _ := probe.MinCostFlowWS(0, n-1, math.Inf(1), nil)
+		mf, _ := sspSolve(probe, 0, n-1, math.Inf(1))
 		if mf.Flow <= 0 {
 			continue
 		}
-		ref, err := build().MinCostFlowWS(0, n-1, mf.Flow, nil)
+		ref, err := sspSolve(build(), 0, n-1, mf.Flow)
 		if err != nil {
 			t.Fatalf("seed %d: SSP: %v", seed, err)
 		}
-		got, err := build().MinCostFlowSimplex(0, n-1, mf.Flow)
+		got, err := build().MinCostFlowSimplexWS(0, n-1, mf.Flow, nil)
 		if err != nil {
 			t.Fatalf("seed %d: simplex: %v", seed, err)
 		}
@@ -430,7 +430,7 @@ func TestSimplexWarmMatchesColdUnderDrift(t *testing.T) {
 				warmUsed++
 			}
 			ref := buildTransport(t, tg.supply, tg.caps, tg.costs)
-			want, err := ref.g.MinCostFlow(ref.source, ref.sinkID, ref.total())
+			want, err := sspSolve(ref.g, ref.source, ref.sinkID, ref.total())
 			if err != nil {
 				t.Fatalf("seed %d step %d: cold reference: %v", seed, step, err)
 			}
@@ -499,7 +499,7 @@ func TestSimplexResetBasisForcesCold(t *testing.T) {
 		t.Fatalf("post-reset solve flags: warm=%v rebuilt=%v, want cold", warm.WarmStarted, warm.BasisRebuilt)
 	}
 	ref := buildTransport(t, supply, caps, costs)
-	cold, err := ref.g.MinCostFlowSimplex(ref.source, ref.sinkID, ref.total())
+	cold, err := ref.g.MinCostFlowSimplexWS(ref.source, ref.sinkID, ref.total(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,9 @@ func buildTransportation(t testing.TB, g *Graph, nReq, nBS int, costs []float64)
 
 // TestWorkspaceReuseBitIdentical drives one reusable graph+workspace through a
 // sequence of cost perturbations (the per-slot hot path) and checks every
-// solve is bit-identical to a from-scratch graph solved without a workspace.
+// cold simplex solve is bit-identical to a from-scratch graph solved on a
+// fresh workspace: Reset, SetEdge and the carried basis storage leave no
+// trace in a cold solve.
 func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	const nReq, nBS, rounds = 6, 4, 8
 	rng := rand.New(rand.NewSource(7))
@@ -56,7 +58,7 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 		// Reference: fresh graph, fresh everything.
 		fg := NewGraph(2 + nReq + nBS)
 		fs, ft, _ := buildTransportation(t, fg, nReq, nBS, costs)
-		want, err := fg.MinCostFlow(fs, ft, math.Inf(1))
+		want, err := fg.MinCostFlowSimplexWS(fs, ft, nReq, NewWorkspace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,16 +87,18 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 				k++
 			}
 		}
-		got, err := reused.MinCostFlowWS(src, sink, math.Inf(1), ws)
+		got, err := reused.MinCostFlowSimplexWS(src, sink, nReq, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Flow != want.Flow || got.Cost != want.Cost {
-			t.Fatalf("round %d: workspace solve = flow %x cost %x, fresh = flow %x cost %x",
-				round, got.Flow, got.Cost, want.Flow, want.Cost)
+		if got.Flow != want.Flow || got.Cost != want.Cost || got.Pivots != want.Pivots {
+			t.Fatalf("round %d: workspace solve = flow %x cost %x pivots %d, fresh = flow %x cost %x pivots %d",
+				round, got.Flow, got.Cost, got.Pivots, want.Flow, want.Cost, want.Pivots)
 		}
-		if got.UsedBellmanFord {
-			t.Fatalf("round %d: non-negative-cost graph took the Bellman-Ford path: %+v", round, got)
+		for _, id := range ids {
+			if math.Float64bits(reused.Flow(id)) != math.Float64bits(fg.Flow(id)) {
+				t.Fatalf("round %d: edge %d carries %v, fresh %v", round, id, reused.Flow(id), fg.Flow(id))
+			}
 		}
 	}
 }
@@ -109,7 +113,7 @@ func TestSetEdgeErrors(t *testing.T) {
 	if err := g.SetEdge(-2, 1, 1); err == nil {
 		t.Error("negative handle accepted")
 	}
-	if err := g.SetEdge(g.NumEdges()*2, 1, 1); err == nil {
+	if err := g.SetEdge(len(g.edges), 1, 1); err == nil {
 		t.Error("out-of-range handle accepted")
 	}
 	if err := g.SetEdge(id, 5, 2); err != nil {
@@ -123,12 +127,12 @@ func TestResetReusesStorage(t *testing.T) {
 	mustEdge(t, g, 0, 1, 1, 1)
 	mustEdge(t, g, 1, 3, 1, 1)
 	g.Reset(3)
-	if g.NumNodes() != 3 || g.NumEdges() != 0 {
-		t.Fatalf("after Reset: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
+	if g.n != 3 || len(g.edges) != 0 {
+		t.Fatalf("after Reset: %d nodes, %d edges", g.n, len(g.edges)/2)
 	}
 	mustEdge(t, g, 0, 1, 2, 1)
 	mustEdge(t, g, 1, 2, 2, 1)
-	res, err := g.MinCostFlow(0, 2, 2)
+	res, err := g.MinCostFlowSimplexWS(0, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

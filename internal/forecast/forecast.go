@@ -50,33 +50,6 @@ func NewARMA(p int, prior float64) (*ARMA, error) {
 	return &ARMA{coefs: coefs, prior: prior}, nil
 }
 
-// NewARMAWithCoefs builds a predictor with explicit coefficients, validating
-// the paper's constraints (non-negative, non-increasing, summing to 1).
-func NewARMAWithCoefs(coefs []float64, prior float64) (*ARMA, error) {
-	if len(coefs) == 0 {
-		return nil, fmt.Errorf("forecast: no coefficients")
-	}
-	sum := 0.0
-	for i, c := range coefs {
-		if c < 0 || c > 1 {
-			return nil, fmt.Errorf("forecast: coefficient %d = %v outside [0,1]", i, c)
-		}
-		if i > 0 && c > coefs[i-1]+1e-12 {
-			return nil, fmt.Errorf("forecast: coefficients must be non-increasing (a_%d=%v > a_%d=%v)", i+1, c, i, coefs[i-1])
-		}
-		sum += c
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("forecast: coefficients sum to %v, want 1", sum)
-	}
-	out := make([]float64, len(coefs))
-	copy(out, coefs)
-	return &ARMA{coefs: out, prior: prior}, nil
-}
-
-// Order returns p.
-func (a *ARMA) Order() int { return len(a.coefs) }
-
 // Predict implements Predictor.
 func (a *ARMA) Predict() float64 {
 	if len(a.history) == 0 {

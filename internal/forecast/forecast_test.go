@@ -13,8 +13,8 @@ func TestNewARMACoefficientsValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewARMA(%d): %v", p, err)
 		}
-		if a.Order() != p {
-			t.Errorf("order = %d, want %d", a.Order(), p)
+		if len(a.coefs) != p {
+			t.Errorf("order = %d, want %d", len(a.coefs), p)
 		}
 		sum := 0.0
 		for i, c := range a.coefs {
@@ -32,35 +32,6 @@ func TestNewARMACoefficientsValid(t *testing.T) {
 	}
 	if _, err := NewARMA(0, 0); err == nil {
 		t.Error("order 0 accepted")
-	}
-}
-
-func TestNewARMAWithCoefs(t *testing.T) {
-	good := []float64{0.5, 0.3, 0.2}
-	if _, err := NewARMAWithCoefs(good, 0); err != nil {
-		t.Errorf("valid coefs rejected: %v", err)
-	}
-	bad := [][]float64{
-		{},            // empty
-		{0.5, 0.6},    // increasing and sum != 1
-		{0.9, 0.2},    // sum != 1
-		{-0.5, 1.5},   // out of range
-		{0.25, 0.25},  // sum 0.5
-		{1.0, 0, 0.1}, // increasing at end and sum 1.1
-	}
-	for i, c := range bad {
-		if _, err := NewARMAWithCoefs(c, 0); err == nil {
-			t.Errorf("bad coefs %d (%v) accepted", i, c)
-		}
-	}
-	// Mutation safety: caller's slice must be copied.
-	a, err := NewARMAWithCoefs(good, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good[0] = 99
-	if a.coefs[0] == 99 {
-		t.Error("coefficients not copied")
 	}
 }
 

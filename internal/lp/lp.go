@@ -55,7 +55,7 @@ type Constraint struct {
 }
 
 // Problem is a linear program under construction. The zero value is an empty
-// minimization problem; add variables and constraints, then call Solve.
+// minimization problem; add variables and constraints, then call SolveWS.
 type Problem struct {
 	costs       []float64
 	upperBounds []float64 // math.Inf(1) when unbounded above
@@ -69,12 +69,6 @@ func NewProblem() *Problem {
 	return &Problem{}
 }
 
-// AddVariable appends a variable with the given objective cost and no upper
-// bound, returning its column index.
-func (p *Problem) AddVariable(cost float64, name string) int {
-	return p.AddBoundedVariable(cost, math.Inf(1), name)
-}
-
 // AddBoundedVariable appends a variable with objective cost and upper bound
 // upper (use math.Inf(1) for none), returning its column index. All variables
 // are implicitly >= 0.
@@ -84,12 +78,6 @@ func (p *Problem) AddBoundedVariable(cost, upper float64, name string) int {
 	p.names = append(p.names, name)
 	return len(p.costs) - 1
 }
-
-// NumVariables reports the number of variables added so far.
-func (p *Problem) NumVariables() int { return len(p.costs) }
-
-// NumConstraints reports the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.constraints) }
 
 // AddConstraint appends the constraint sum_j coefs[j]*x[cols[j]] (sense) rhs.
 // The cols/coefs slices are copied.
@@ -148,9 +136,6 @@ func (p *Problem) SetIterLimit(n int) error {
 	p.iterLimit = n
 	return nil
 }
-
-// IterLimit reports the configured pivot budget (0 = default).
-func (p *Problem) IterLimit() int { return p.iterLimit }
 
 // ConstraintCoefs returns the live coefficient slice of constraint i for
 // in-place rewriting. The column pattern (Cols) stays fixed; callers may only
@@ -229,7 +214,7 @@ type Solution struct {
 	Phase1Iterations int
 }
 
-// Errors returned by Solve.
+// Errors returned by SolveWS.
 var (
 	ErrInfeasible = errors.New("lp: problem is infeasible")
 	ErrUnbounded  = errors.New("lp: problem is unbounded")
@@ -256,17 +241,12 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Solve runs two-phase primal simplex and returns the optimal solution.
-// A nil error implies Status == StatusOptimal.
-func (p *Problem) Solve() (*Solution, error) {
-	return p.SolveWS(nil)
-}
-
-// SolveWS is Solve with caller-owned tableau storage. A nil workspace
-// allocates fresh buffers, matching Solve exactly. Every solve rebuilds the
-// tableau and runs both phases with its own pivot budget, so the pivot
-// sequence is independent of the workspace and results are bit-identical
-// either way.
+// SolveWS runs two-phase primal simplex and returns the optimal solution.
+// A nil error implies Status == StatusOptimal. The tableau lives in the
+// caller-owned workspace; a nil workspace allocates fresh buffers. Every
+// solve rebuilds the tableau and runs both phases with its own pivot budget,
+// so the pivot sequence is independent of the workspace and results are
+// bit-identical either way.
 func (p *Problem) SolveWS(ws *Workspace) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

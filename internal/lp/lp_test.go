@@ -11,7 +11,7 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func mustSolve(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.Solve()
+	sol, err := p.SolveWS(nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -23,7 +23,7 @@ func mustSolve(t *testing.T, p *Problem) *Solution {
 
 func TestSolveTrivialUnconstrained(t *testing.T) {
 	p := NewProblem()
-	p.AddVariable(1, "x")
+	p.AddBoundedVariable(1, math.Inf(1), "x")
 	sol := mustSolve(t, p)
 	if !almostEqual(sol.Objective, 0, 1e-9) {
 		t.Errorf("objective = %v, want 0", sol.Objective)
@@ -51,8 +51,8 @@ func TestSolveSimpleLE(t *testing.T) {
 func TestSolveEquality(t *testing.T) {
 	// min x + 2y st x + y = 5 -> x=5, y=0, obj 5.
 	p := NewProblem()
-	x := p.AddVariable(1, "x")
-	y := p.AddVariable(2, "y")
+	x := p.AddBoundedVariable(1, math.Inf(1), "x")
+	y := p.AddBoundedVariable(2, math.Inf(1), "y")
 	if err := p.AddConstraint([]int{x, y}, []float64{1, 1}, EQ, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestSolveEquality(t *testing.T) {
 func TestSolveGE(t *testing.T) {
 	// min 3x + 2y st x + y >= 4, x >= 0, y >= 0 -> y=4, obj 8.
 	p := NewProblem()
-	x := p.AddVariable(3, "x")
-	y := p.AddVariable(2, "y")
+	x := p.AddBoundedVariable(3, math.Inf(1), "x")
+	y := p.AddBoundedVariable(2, math.Inf(1), "y")
 	if err := p.AddConstraint([]int{x, y}, []float64{1, 1}, GE, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSolveGE(t *testing.T) {
 func TestSolveNegativeRHS(t *testing.T) {
 	// min x st -x <= -3  (i.e. x >= 3) -> obj 3.
 	p := NewProblem()
-	x := p.AddVariable(1, "x")
+	x := p.AddBoundedVariable(1, math.Inf(1), "x")
 	if err := p.AddConstraint([]int{x}, []float64{-1}, LE, -3); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSolveInfeasible(t *testing.T) {
 	if err := p.AddConstraint([]int{x}, []float64{1}, GE, 2); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := p.Solve()
+	sol, err := p.SolveWS(nil)
 	if err == nil {
 		t.Fatalf("Solve = %+v, want infeasible error", sol)
 	}
@@ -109,12 +109,12 @@ func TestSolveInfeasible(t *testing.T) {
 
 func TestSolveUnbounded(t *testing.T) {
 	p := NewProblem()
-	p.AddVariable(-1, "x") // min -x, x unbounded above
-	y := p.AddVariable(1, "y")
+	p.AddBoundedVariable(-1, math.Inf(1), "x") // min -x, x unbounded above
+	y := p.AddBoundedVariable(1, math.Inf(1), "y")
 	if err := p.AddConstraint([]int{y}, []float64{1}, LE, 1); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := p.Solve()
+	sol, err := p.SolveWS(nil)
 	if err == nil {
 		t.Fatalf("Solve = %+v, want unbounded error", sol)
 	}
@@ -126,10 +126,10 @@ func TestSolveUnbounded(t *testing.T) {
 func TestSolveDegenerate(t *testing.T) {
 	// Classic degenerate LP; checks anti-cycling terminates.
 	p := NewProblem()
-	x1 := p.AddVariable(-0.75, "x1")
-	x2 := p.AddVariable(150, "x2")
-	x3 := p.AddVariable(-0.02, "x3")
-	x4 := p.AddVariable(6, "x4")
+	x1 := p.AddBoundedVariable(-0.75, math.Inf(1), "x1")
+	x2 := p.AddBoundedVariable(150, math.Inf(1), "x2")
+	x3 := p.AddBoundedVariable(-0.02, math.Inf(1), "x3")
+	x4 := p.AddBoundedVariable(6, math.Inf(1), "x4")
 	cons := []struct {
 		coefs []float64
 		rhs   float64
@@ -159,7 +159,7 @@ func TestSolveTransportation(t *testing.T) {
 	var idx [2][3]int
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
-			idx[i][j] = p.AddVariable(cost[i][j], "")
+			idx[i][j] = p.AddBoundedVariable(cost[i][j], math.Inf(1), "")
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -188,25 +188,25 @@ func TestValidateRejectsBadInput(t *testing.T) {
 	}{
 		{"nan cost", func() *Problem {
 			p := NewProblem()
-			p.AddVariable(math.NaN(), "x")
+			p.AddBoundedVariable(math.NaN(), math.Inf(1), "x")
 			return p
 		}},
 		{"nan rhs", func() *Problem {
 			p := NewProblem()
-			x := p.AddVariable(1, "x")
+			x := p.AddBoundedVariable(1, math.Inf(1), "x")
 			_ = p.AddConstraint([]int{x}, []float64{1}, LE, math.NaN())
 			return p
 		}},
 		{"inf coef", func() *Problem {
 			p := NewProblem()
-			x := p.AddVariable(1, "x")
+			x := p.AddBoundedVariable(1, math.Inf(1), "x")
 			_ = p.AddConstraint([]int{x}, []float64{math.Inf(1)}, LE, 1)
 			return p
 		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := tt.build().Solve(); err == nil {
+			if _, err := tt.build().SolveWS(nil); err == nil {
 				t.Error("Solve succeeded, want validation error")
 			}
 		})
@@ -215,7 +215,7 @@ func TestValidateRejectsBadInput(t *testing.T) {
 
 func TestAddConstraintErrors(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVariable(1, "x")
+	x := p.AddBoundedVariable(1, math.Inf(1), "x")
 	if err := p.AddConstraint([]int{x}, []float64{1, 2}, LE, 1); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
@@ -289,7 +289,7 @@ func TestPropertyRandomBoundedLPs(t *testing.T) {
 				return false
 			}
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveWS(nil)
 		if err != nil || sol.Status != StatusOptimal {
 			return false
 		}
@@ -346,7 +346,7 @@ func TestPropertyDualityGapZero(t *testing.T) {
 		if err := p.AddConstraint([]int{0, 1}, []float64{a, b}, LE, rhs); err != nil {
 			return false
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveWS(nil)
 		if err != nil {
 			return false
 		}
@@ -401,7 +401,7 @@ func BenchmarkSolveMedium(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := build()
-		if _, err := p.Solve(); err != nil {
+		if _, err := p.SolveWS(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -457,7 +457,7 @@ func TestWarmIterBudgetResetsPerSolve(t *testing.T) {
 	}
 	maxIters := 0
 	for step := 0; step < 12; step++ {
-		for j := 0; j < p.NumVariables(); j++ {
+		for j := 0; j < len(p.costs); j++ {
 			if err := p.SetCost(j, rng.Float64()*10-5); err != nil {
 				t.Fatal(err)
 			}
@@ -481,7 +481,7 @@ func TestWarmIterBudgetResetsPerSolve(t *testing.T) {
 	}
 	total := 0
 	for step := 0; step < 12; step++ {
-		for j := 0; j < p.NumVariables(); j++ {
+		for j := 0; j < len(p.costs); j++ {
 			if err := p.SetCost(j, rng.Float64()*10-5); err != nil {
 				t.Fatal(err)
 			}

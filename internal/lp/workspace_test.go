@@ -65,7 +65,7 @@ func TestSolveWSBitIdenticalToSolve(t *testing.T) {
 			}
 		}
 		fresh := buildRandomTransport(t, nSrc, nDst, costs)
-		want, err := fresh.Solve()
+		want, err := fresh.SolveWS(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestMutatorErrors(t *testing.T) {
 	if got := p.ConstraintCoefs(0); len(got) != 1 || got[0] != 1 {
 		t.Errorf("ConstraintCoefs(0) = %v, want [1]", got)
 	}
-	sol, err := p.Solve()
+	sol, err := p.SolveWS(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWorkspaceShapeChange(t *testing.T) {
 			costs[i] = rng.Float64() * 10
 		}
 		fresh := buildRandomTransport(t, dims[0], dims[1], costs)
-		want, err := fresh.Solve()
+		want, err := fresh.SolveWS(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestWorkspaceShapeChange(t *testing.T) {
 // from one solve to the next, never a basis.
 func solveBothWays(t *testing.T, label string, p *Problem, ws *Workspace) *Solution {
 	t.Helper()
-	want, wantErr := p.Solve()
+	want, wantErr := p.SolveWS(nil)
 	got, err := p.SolveWS(ws)
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("%s: workspace error %v, fresh error %v", label, err, wantErr)
@@ -182,13 +182,13 @@ func TestWarmDriftAgreesWithCold(t *testing.T) {
 		ws := NewWorkspace()
 		solveBothWays(t, "initial", p, ws)
 		for step := 0; step < 8; step++ {
-			for j := 0; j < p.NumVariables(); j++ {
+			for j := 0; j < len(p.costs); j++ {
 				if err := p.SetCost(j, rng.Float64()*10-5); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if step%2 == 1 {
-				for i := 0; i < p.NumConstraints(); i++ {
+				for i := 0; i < len(p.constraints); i++ {
 					if err := p.SetConstraintRHS(i, p.constraints[i].RHS*(0.7+0.6*rng.Float64())); err != nil {
 						t.Fatal(err)
 					}
@@ -272,7 +272,7 @@ func TestWarmExplicitIterLimitSurfacesOnWarmPath(t *testing.T) {
 	p := randBoundedProblem(rng)
 	ws := NewWorkspace()
 	solveBothWays(t, "initial", p, ws)
-	for j := 0; j < p.NumVariables(); j++ {
+	for j := 0; j < len(p.costs); j++ {
 		if err := p.SetCost(j, -10*(1+rng.Float64())); err != nil {
 			t.Fatal(err)
 		}

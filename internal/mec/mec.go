@@ -210,19 +210,6 @@ func (n *Network) buildAdj() {
 // Degree returns the number of links incident to station id.
 func (n *Network) Degree(id int) int { return len(n.Neighbors(id)) }
 
-// CoverageCount returns, for each station, how many other stations lie within
-// its transmission range. Pri_GD uses this to assign request priorities.
-func (n *Network) CoverageCount(id int) int {
-	bs := &n.Stations[id]
-	count := 0
-	for i := range n.Stations {
-		if i != id && bs.Covers(n.Stations[i].X, n.Stations[i].Y) {
-			count++
-		}
-	}
-	return count
-}
-
 // StationsCovering returns IDs of all stations whose range covers (x, y).
 func (n *Network) StationsCovering(x, y float64) []int {
 	var out []int

@@ -40,9 +40,6 @@ func NewGRU(in, hidden int, rng *rand.Rand) *GRU {
 // Params implements Module.
 func (g *GRU) Params() []*Param { return []*Param{g.wx, g.wh, g.b} }
 
-// HiddenSize returns H.
-func (g *GRU) HiddenSize() int { return g.hidden }
-
 // Forward runs the sequence and returns hidden states h_1..h_T.
 func (g *GRU) Forward(xs [][]float64) ([][]float64, error) {
 	H := g.hidden

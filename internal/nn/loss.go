@@ -5,39 +5,6 @@ import (
 	"math"
 )
 
-// MSELoss returns the mean-squared error between prediction and target
-// sequences plus the gradient with respect to the predictions.
-func MSELoss(pred, target [][]float64) (float64, [][]float64, error) {
-	if len(pred) != len(target) {
-		return 0, nil, fmt.Errorf("nn: MSE got %d predictions for %d targets", len(pred), len(target))
-	}
-	n := 0
-	loss := 0.0
-	grads := make([][]float64, len(pred))
-	for t := range pred {
-		if len(pred[t]) != len(target[t]) {
-			return 0, nil, fmt.Errorf("nn: MSE step %d size mismatch (%d vs %d)", t, len(pred[t]), len(target[t]))
-		}
-		grads[t] = make([]float64, len(pred[t]))
-		for i := range pred[t] {
-			d := pred[t][i] - target[t][i]
-			loss += d * d
-			grads[t][i] = d
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, nil, fmt.Errorf("nn: MSE over empty sequences")
-	}
-	inv := 1.0 / float64(n)
-	for t := range grads {
-		for i := range grads[t] {
-			grads[t][i] *= 2 * inv
-		}
-	}
-	return loss * inv, grads, nil
-}
-
 // BCEWithLogits returns the binary cross-entropy of a single logit against a
 // {0,1} label, and d(loss)/d(logit). Numerically stable for large |logit|.
 func BCEWithLogits(logit, label float64) (loss, grad float64) {

@@ -273,9 +273,6 @@ func NewLSTM(in, hidden int, rng *rand.Rand) *LSTM {
 // Params implements Module.
 func (l *LSTM) Params() []*Param { return []*Param{l.wx, l.wh, l.b} }
 
-// HiddenSize returns H.
-func (l *LSTM) HiddenSize() int { return l.hidden }
-
 // Forward runs the sequence and returns hidden states h_1..h_T. The returned
 // rows alias module-owned storage and are valid until the next Forward.
 func (l *LSTM) Forward(xs [][]float64) ([][]float64, error) {
@@ -432,9 +429,6 @@ func NewBiLSTM(in, hidden int, rng *rand.Rand) *BiLSTM {
 func (b *BiLSTM) Params() []*Param {
 	return append(b.fwd.Params(), b.bwd.Params()...)
 }
-
-// OutputSize returns 2H.
-func (b *BiLSTM) OutputSize() int { return 2 * b.fwd.hidden }
 
 // Forward returns per-step concatenations [h_fwd_t ; h_bwd_t]. The returned
 // rows alias module-owned storage and are valid until the next Forward.

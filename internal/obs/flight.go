@@ -98,11 +98,10 @@ type FlightSummary struct {
 // concurrent-safe; write errors are latched and surfaced by Flush, keeping
 // the per-slot path unconditional.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	enc     *json.Encoder
-	records int64
-	err     error
+	mu  sync.Mutex
+	bw  *bufio.Writer
+	enc *json.Encoder
+	err error
 }
 
 // NewFlightRecorder wraps w in a buffered JSONL recorder.
@@ -117,7 +116,6 @@ func (r *FlightRecorder) record(v any) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.records++
 	if r.err != nil {
 		return
 	}
@@ -143,16 +141,6 @@ func (r *FlightRecorder) RecordSlot(s FlightSlot) {
 func (r *FlightRecorder) RecordSummary(s FlightSummary) {
 	s.Type = FlightTypeSummary
 	r.record(s)
-}
-
-// Records returns the number of records appended so far.
-func (r *FlightRecorder) Records() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.records
 }
 
 // Flush drains the buffer and returns the first error seen.

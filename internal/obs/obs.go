@@ -39,8 +39,6 @@ type eventHub struct {
 	subs   map[int]chan Event
 	nextID int
 	active atomic.Int32
-	// dropped counts events lost to full subscriber buffers.
-	dropped atomic.Int64
 }
 
 func (h *eventHub) subscribe(buf int) (<-chan Event, func()) {
@@ -75,8 +73,7 @@ func (h *eventHub) publish(ev Event) {
 	for _, ch := range h.subs {
 		select {
 		case ch <- ev:
-		default:
-			h.dropped.Add(1)
+		default: // the subscriber fell behind: drop rather than block
 		}
 	}
 }
@@ -89,9 +86,6 @@ func New(opts Options) *Observer {
 	}
 	return o
 }
-
-// Nop returns the disabled observer (nil; all methods are no-ops).
-func Nop() *Observer { return nil }
 
 // Enabled reports whether the observer collects anything.
 func (o *Observer) Enabled() bool { return o != nil }
@@ -113,14 +107,6 @@ func (o *Observer) Subscribe(buf int) (<-chan Event, func()) {
 		return nil, func() {}
 	}
 	return o.hub.subscribe(buf)
-}
-
-// EventsDropped counts events lost to slow live subscribers.
-func (o *Observer) EventsDropped() int64 {
-	if o == nil {
-		return 0
-	}
-	return o.hub.dropped.Load()
 }
 
 // Registry exposes the underlying registry (nil when disabled).

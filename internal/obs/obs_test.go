@@ -102,9 +102,6 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Events() != int64(len(want)) {
-		t.Errorf("Events = %d, want %d", tr.Events(), len(want))
-	}
 	// Every line must be standalone-parseable JSON.
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != len(want) {
@@ -136,7 +133,7 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 }
 
 func TestNopObserverIsSafe(t *testing.T) {
-	o := Nop()
+	var o *Observer // the disabled observer
 	if o.Enabled() || o.TraceEnabled() {
 		t.Error("nop observer reports enabled")
 	}
@@ -151,8 +148,8 @@ func TestNopObserverIsSafe(t *testing.T) {
 	if err := o.Flush(); err != nil {
 		t.Errorf("Flush on nop observer: %v", err)
 	}
-	if s := o.Snapshot(); s.NumSeries() != 0 {
-		t.Errorf("nop snapshot has %d series", s.NumSeries())
+	if s := o.Snapshot(); numSeries(s) != 0 {
+		t.Errorf("nop snapshot has %d series", numSeries(s))
 	}
 	if o.Registry() != nil {
 		t.Error("nop Registry() != nil")
@@ -180,8 +177,8 @@ func TestObserverMetricsAndSnapshot(t *testing.T) {
 	if h.Count != 1 || h.Sum != 3 || h.Mean != 3 {
 		t.Errorf("sim.decide_ms snapshot = %+v", h)
 	}
-	if snap.NumSeries() != 4 {
-		t.Errorf("NumSeries = %d, want 4", snap.NumSeries())
+	if numSeries(snap) != 4 {
+		t.Errorf("series = %d, want 4", numSeries(snap))
 	}
 	var buf bytes.Buffer
 	if err := snap.WriteJSON(&buf); err != nil {
@@ -199,7 +196,7 @@ func TestObserverMetricsAndSnapshot(t *testing.T) {
 	}
 
 	o.Registry().Reset()
-	if n := o.Snapshot().NumSeries(); n != 0 {
+	if n := numSeries(o.Snapshot()); n != 0 {
 		t.Errorf("after Reset: %d series", n)
 	}
 }
@@ -226,7 +223,7 @@ func TestSampleRuntimeGauges(t *testing.T) {
 	// Sampling disabled: no gauges appear.
 	o2 := New(Options{})
 	o2.SampleRuntime(0)
-	if n := o2.Snapshot().NumSeries(); n != 0 {
+	if n := numSeries(o2.Snapshot()); n != 0 {
 		t.Errorf("SampleRuntime with sampling off recorded %d series", n)
 	}
 }
@@ -265,4 +262,9 @@ func TestPprofHelpers(t *testing.T) {
 	if fi, err := os.Stat(heap); err != nil || fi.Size() == 0 {
 		t.Errorf("heap profile missing or empty: %v", err)
 	}
+}
+
+// numSeries counts the distinct named series in a snapshot.
+func numSeries(s Snapshot) int {
+	return len(s.Counters) + len(s.Gauges) + len(s.Histograms)
 }

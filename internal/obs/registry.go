@@ -184,57 +184,11 @@ type HistogramSnapshot struct {
 	Counts []int64 `json:"counts"`
 }
 
-// Quantile estimates the q-th percentile (0..100) from the bucket counts by
-// linear interpolation inside the holding bucket. The estimate is exact at
-// bucket edges: a rank landing exactly on a bucket's cumulative count returns
-// that bucket's upper bound, not a value bled into the next bucket. Values in
-// the overflow bucket cannot be interpolated and report the highest finite
-// bound. Returns NaN for an empty histogram or q outside [0,100].
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 || q < 0 || q > 100 || len(h.Counts) == 0 {
-		return math.NaN()
-	}
-	// Rank of the target observation, 1-based; q=0 is the first observation.
-	rank := q / 100 * float64(h.Count)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		prev := float64(cum)
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(h.Bounds) {
-			// Overflow bucket: unbounded above, report its lower edge.
-			return h.Bounds[len(h.Bounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = h.Bounds[i-1]
-		}
-		upper := h.Bounds[i]
-		frac := (rank - prev) / float64(c)
-		return lower + (upper-lower)*frac
-	}
-	// Unreachable when Count matches the bucket sums; be safe.
-	return h.Bounds[len(h.Bounds)-1]
-}
-
 // Snapshot is a frozen, JSON-serialisable view of a Registry.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// NumSeries counts the distinct named series in the snapshot.
-func (s Snapshot) NumSeries() int {
-	return len(s.Counters) + len(s.Gauges) + len(s.Histograms)
 }
 
 // WriteJSON writes the snapshot as indented JSON.

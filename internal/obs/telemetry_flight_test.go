@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -156,45 +155,6 @@ func TestPromName(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileEdges pins the interpolation contract: exact at bucket
-// edges (a rank landing on a bucket's cumulative count returns that bucket's
-// bound, not a value bled into the next bucket), NaN on empty or out-of-range
-// q, and the overflow bucket clamping to the highest finite bound.
-func TestHistogramQuantileEdges(t *testing.T) {
-	h := HistogramSnapshot{
-		Count:  4,
-		Bounds: []float64{1, 2, 4},
-		Counts: []int64{2, 2, 0, 0},
-	}
-	// Rank for p50 is exactly 2 = the first bucket's cumulative count.
-	if got := h.Quantile(50); got != 1 {
-		t.Errorf("p50 = %g, want exactly 1 (bucket edge)", got)
-	}
-	if got := h.Quantile(100); got != 2 {
-		t.Errorf("p100 = %g, want 2", got)
-	}
-	// p75 rank = 3: halfway through the (1,2] bucket.
-	if got := h.Quantile(75); got != 1.5 {
-		t.Errorf("p75 = %g, want 1.5", got)
-	}
-	if got := h.Quantile(0); got != 0.5 {
-		t.Errorf("p0 = %g, want 0.5 (first observation, interpolated)", got)
-	}
-
-	var empty HistogramSnapshot
-	if !math.IsNaN(empty.Quantile(50)) {
-		t.Error("empty histogram quantile should be NaN")
-	}
-	if !math.IsNaN(h.Quantile(-1)) || !math.IsNaN(h.Quantile(101)) {
-		t.Error("out-of-range q should be NaN")
-	}
-
-	over := HistogramSnapshot{Count: 2, Bounds: []float64{1}, Counts: []int64{1, 1}}
-	if got := over.Quantile(99); got != 1 {
-		t.Errorf("overflow-bucket quantile = %g, want highest finite bound 1", got)
-	}
-}
-
 // TestTelemetryServerEndpoints drives the HTTP surface: /metrics is valid
 // 0.0.4 text exposition with labeled series, /snapshot decodes as a Snapshot,
 // /events streams emitted trace events over SSE, and / is the index.
@@ -303,18 +263,20 @@ func TestServeTelemetryErrors(t *testing.T) {
 }
 
 // TestEventHubDropsWhenFull checks the never-block contract: a subscriber
-// that stops draining loses events (counted) instead of stalling Emit.
+// that stops draining loses events instead of stalling Emit.
 func TestEventHubDropsWhenFull(t *testing.T) {
 	o := New(Options{})
 	ch, cancel := o.Subscribe(1)
 	defer cancel()
 	o.Emit(Event{Name: "a"})
 	o.Emit(Event{Name: "b"}) // buffer of 1 is full; must not block
-	if got := o.EventsDropped(); got != 1 {
-		t.Errorf("EventsDropped = %d, want 1", got)
-	}
 	if ev := <-ch; ev.Name != "a" {
 		t.Errorf("first delivered event = %q, want a", ev.Name)
+	}
+	select {
+	case ev := <-ch:
+		t.Errorf("event %q delivered past a full buffer, want it dropped", ev.Name)
+	default:
 	}
 	cancel()
 	cancel() // safe to call twice
@@ -336,9 +298,6 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	// No summary: the run was interrupted; the slots must still parse.
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
-	}
-	if got := rec.Records(); got != 6 {
-		t.Errorf("Records = %d, want 6", got)
 	}
 
 	runs, err := ReadFlightRuns(bytes.NewReader(buf.Bytes()))
@@ -375,9 +334,6 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	rec.RecordHeader(FlightHeader{})
 	rec.RecordSlot(FlightSlot{})
 	rec.RecordSummary(FlightSummary{})
-	if rec.Records() != 0 {
-		t.Error("nil recorder should count nothing")
-	}
 	if err := rec.Flush(); err != nil {
 		t.Errorf("nil Flush = %v", err)
 	}
@@ -473,7 +429,6 @@ func TestRegistryConcurrentLabeledHammer(t *testing.T) {
 				return
 			default:
 				snap := o.Snapshot()
-				_ = snap.NumSeries()
 				_ = snap.String()
 				var sink bytes.Buffer
 				_ = snap.WritePrometheus(&sink)

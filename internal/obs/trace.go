@@ -41,11 +41,10 @@ type Event struct {
 // concurrent-safe; output is buffered, so call Flush (or Observer.Close)
 // before reading the destination.
 type Tracer struct {
-	mu     sync.Mutex
-	bw     *bufio.Writer
-	enc    *json.Encoder
-	events int64
-	err    error // first write error, reported by Flush
+	mu  sync.Mutex
+	bw  *bufio.Writer
+	enc *json.Encoder
+	err error // first write error, reported by Flush
 }
 
 // NewTracer wraps w in a buffered JSONL encoder.
@@ -59,20 +58,12 @@ func NewTracer(w io.Writer) *Tracer {
 func (t *Tracer) Emit(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.events++
 	if t.err != nil {
 		return
 	}
 	if err := t.enc.Encode(ev); err != nil {
 		t.err = err
 	}
-}
-
-// Events returns the number of events emitted so far.
-func (t *Tracer) Events() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.events
 }
 
 // Flush drains the buffer and returns the first error seen by Emit or the

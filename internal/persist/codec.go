@@ -30,13 +30,6 @@ type Encoder struct {
 // buffer; append nothing after taking it.
 func (e *Encoder) Bytes() []byte { return e.b }
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.b) }
-
-// Raw appends pre-encoded bytes verbatim (no length prefix). Used to
-// splice an independently encoded section into a payload.
-func (e *Encoder) Raw(p []byte) { e.b = append(e.b, p...) }
-
 // Uint32 appends a fixed-width little-endian uint32.
 func (e *Encoder) Uint32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 

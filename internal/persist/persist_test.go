@@ -377,7 +377,7 @@ func TestManagerTornWALTailTruncated(t *testing.T) {
 
 func TestManagerPrunesOldGenerations(t *testing.T) {
 	dir := t.TempDir()
-	m, _, err := Open(dir, obs.Nop())
+	m, _, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestManagerPrunesOldGenerations(t *testing.T) {
 
 func TestInspectMatchesRecovery(t *testing.T) {
 	dir := t.TempDir()
-	m, _, err := Open(dir, obs.Nop())
+	m, _, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

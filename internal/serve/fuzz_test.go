@@ -37,6 +37,7 @@ func FuzzHandleObserve(f *testing.F) {
 		`{"cell":0,"delays":{"x":5}}`,
 		`{"cell":1}`,
 		`{"cell":0,"volumes":[0]}`,
+		`{"cell":0,"volumes":[1e308,1e308,1e308,1e308,1e308,1e308,1e308,1e308]}`,
 		`{"cell":-1}`,
 		`{bad`,
 	} {
@@ -64,6 +65,7 @@ func FuzzHandleDecide(f *testing.F) {
 		`{"cell":99}`,
 		`{"cell":0,"delays":{"999":5}}`,
 		`{"cell":0,"volumes":[1e308,1,1,1,1,1,1,1]}`,
+		`{"cell":0,"volumes":[1e308,1e308,1e308,1e308,1e308,1e308,1e308,1e308]}`,
 		`{bad`,
 	} {
 		f.Add(body)

@@ -141,26 +141,41 @@ func TestOversizedBodyRejected(t *testing.T) {
 // cell (slot, counters and the pending decision stay as they were), and the
 // shard worker must survive to serve the next decide.
 func TestObserveRejectsUnknownStation(t *testing.T) {
-	assertObservesRejected(t, `{"cell":0,"delays":{"999":5}}`, `{"cell":0,"delays":{"-1":5}}`)
+	assertRejected(t, "/v1/observe", `{"cell":0,"delays":{"999":5}}`, `{"cell":0,"delays":{"-1":5}}`)
 }
 
 // TestObserveRejectsHostileDelays posts feedback with non-positive or
-// implausibly large delays. Accepted, a negative one steered every later
-// decide onto the station with the hugely negative estimate, and 1e308 ms
-// dropped every later decide to the greedy rung; each must be rejected like an
-// unknown station.
+// implausibly large delays or volumes. Accepted, a negative delay steered
+// every later decide onto the station with the hugely negative estimate, and
+// 1e308 ms dropped every later decide to the greedy rung; each must be
+// rejected like an unknown station.
 func TestObserveRejectsHostileDelays(t *testing.T) {
-	assertObservesRejected(t,
+	assertRejected(t, "/v1/observe",
 		`{"cell":0,"delays":{"0":1e308,"1":-1e308}}`,
 		`{"cell":0,"delays":{"0":1e308,"1":1e308}}`,
 		`{"cell":0,"delays":{"0":0}}`,
-		`{"cell":0,"delays":{"2":-5}}`)
+		`{"cell":0,"delays":{"2":-5}}`,
+		`{"cell":0,"volumes":[1e308,1e308,1e308,1e308,1e308,1e308,1e308,1e308]}`)
 }
 
-// assertObservesRejected decides once on a fresh one-cell server, then posts
-// each observe body: every one must answer 400 and leave the cell's status
-// as it was, and the next decide must still be served.
-func assertObservesRejected(t *testing.T, bodies ...string) {
+// TestDecideRejectsHostileVolumes posts decides whose volumes are malformed
+// or beyond any plausible demand while a decision is pending. A decide of
+// volumes 1e308 advanced the cell and answered 500 (its delay was +Inf), and
+// /v1/cells answered 500 from then on; a decide of the wrong length answered
+// 400 after the pending slot had already been observed. Each must answer 400
+// and leave the cell as it was.
+func TestDecideRejectsHostileVolumes(t *testing.T) {
+	assertRejected(t, "/v1/decide",
+		`{"cell":0,"volumes":[1,2]}`,
+		`{"cell":0,"volumes":[1e308,1e308,1e308,1e308,1e308,1e308,1e308,1e308]}`,
+		`{"cell":0,"volumes":[1,1,1,1,1,1,1,0]}`)
+}
+
+// assertRejected decides once on a fresh one-cell server, then posts each
+// body to path: every one must answer 400 and leave the cell's status, as
+// GET /v1/cells reports it, as it was, and the next decide must still be
+// served.
+func assertRejected(t *testing.T, path string, bodies ...string) {
 	t.Helper()
 	s, err := New(Config{Shards: 1}, newCellPool(t, 1, 790))
 	if err != nil {
@@ -174,23 +189,39 @@ func assertObservesRejected(t *testing.T, bodies ...string) {
 	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("decide: %d: %s", resp.StatusCode, body)
 	}
-	before := s.Cells()[0].CellStatus
+	cellStatus := func() sim.CellStatus {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/cells")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readBody(t, resp)
+		var out struct{ Cells []CellInfo }
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/cells: %d: %s", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal([]byte(body), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Cells[0].CellStatus
+	}
+	before := cellStatus()
 	if !before.PendingObserve {
 		t.Fatal("no decision pending after a decide")
 	}
 	for _, in := range bodies {
-		resp := postJSON(t, ts.URL+"/v1/observe", in)
+		resp := postJSON(t, ts.URL+path, in)
 		body := readBody(t, resp)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("observe %s: %d, want 400: %s", in, resp.StatusCode, body)
+			t.Fatalf("%s %s: %d, want 400: %s", path, in, resp.StatusCode, body)
 		}
-		if after := s.Cells()[0].CellStatus; after != before {
-			t.Fatalf("observe %s changed the cell: %+v, was %+v", in, after, before)
+		if after := cellStatus(); after != before {
+			t.Fatalf("%s %s changed the cell: %+v, was %+v", path, in, after, before)
 		}
 	}
 	resp = postJSON(t, ts.URL+"/v1/decide", `{"cell":0}`)
 	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
-		t.Fatalf("decide after rejected observes: %d: %s", resp.StatusCode, body)
+		t.Fatalf("decide after rejected bodies: %d: %s", resp.StatusCode, body)
 	}
 	if st := s.Cells()[0]; st.Slot != 1 || st.Decides != 2 || st.Observes != 1 {
 		t.Fatalf("after the second decide: %+v, want slot 1, 2 decides, 1 observe", st.CellStatus)

@@ -19,8 +19,8 @@ import (
 // awaiting feedback (Observe called before Decide, or called twice).
 var ErrNoPendingObserve = errors.New("sim: no decision pending observation")
 
-// ErrBadVolumes marks a rejected client-supplied demand vector (wrong length
-// or non-positive/non-finite entries) — a caller error, not a cell failure.
+// ErrBadVolumes marks a rejected client-supplied demand vector (wrong length,
+// or entries outside (0, maxVolume]) — a caller error, not a cell failure.
 var ErrBadVolumes = errors.New("sim: bad demand vector")
 
 // ErrBadStation marks client-supplied feedback naming a station outside the
@@ -38,6 +38,14 @@ var ErrBadDelay = errors.New("sim: bad delay")
 // of the float64 range dropped every later OL_GD decide from the flow rung to
 // greedy.
 const maxPlayedDelayMS = 1e6
+
+// maxVolume is the largest per-request demand (data units) a client may
+// report: over 2×10^4 times the generator's largest volume at its defaults
+// (BasicDemandMax 6 plus bursts capped at 4×BurstScale = 32), and over 10^4
+// times it at the largest BurstScale any scenario sets (10). One volume of
+// 1e308 made the slot's delay +Inf, which then failed every JSON encoding of
+// the cell's running average.
+const maxVolume = 1e6
 
 // Cell is the step-wise decision engine for ONE MEC cell: the per-slot body
 // of the batch simulator (Runner.Run), factored out so a long-running server
@@ -280,8 +288,8 @@ func (r *Runner) validateVolumes(vols []float64) error {
 			ErrBadVolumes, len(vols), len(r.w.Requests))
 	}
 	for l, v := range vols {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-			return fmt.Errorf("%w: entry %d is %v (want positive finite)", ErrBadVolumes, l, v)
+		if math.IsNaN(v) || v <= 0 || v > maxVolume {
+			return fmt.Errorf("%w: entry %d is %v (want (0, %g])", ErrBadVolumes, l, v, maxVolume)
 		}
 	}
 	return nil
@@ -306,22 +314,23 @@ func (r *Runner) validatePlayed(played map[int]float64) error {
 // workload trace's realised demands for this slot (length must equal the full
 // workload request set; fault-injected surge factors still apply on top); nil
 // replays the generated trace. If the previous decision is still awaiting
-// feedback, its default Observe is applied first.
+// feedback, its default Observe is applied first; a rejected volumes vector
+// returns before that, leaving the cell as it was.
 func (c *Cell) Decide(volumes []float64) (*CellDecision, error) {
-	if c.pending != nil {
-		if err := c.Observe(nil, nil); err != nil {
-			return nil, err
-		}
-	}
 	r, res := c.r, c.res
-	ob, fl := r.cfg.Observer, r.cfg.Flight
-	policy := c.policy
-	t := c.t
 	if volumes != nil {
 		if err := r.validateVolumes(volumes); err != nil {
 			return nil, err
 		}
 	}
+	if c.pending != nil {
+		if err := c.Observe(nil, nil); err != nil {
+			return nil, err
+		}
+	}
+	ob, fl := r.cfg.Observer, r.cfg.Flight
+	policy := c.policy
+	t := c.t
 
 	actual := r.net.SampleDelays(c.rng)
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/mecsim/l4e/internal/algorithms"
+	"github.com/mecsim/l4e/internal/obs"
 	"github.com/mecsim/l4e/internal/topology"
 	"github.com/mecsim/l4e/internal/workload"
 )
@@ -59,11 +60,16 @@ func TestOLGANBeatsOLRegEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ganRes, err := mkRunner().Run(ganPolicy)
+	ob := obs.New(obs.Options{})
+	ganRunner, err := NewRunner(net, w, Config{Seed: 13, DemandsGiven: false, Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ganPolicy.Trained() {
+	ganRes, err := ganRunner.Run(ganPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ob.Snapshot().Counters["olgan.initial_trainings"] != 1 {
 		t.Fatal("OL_GAN never trained its model")
 	}
 
@@ -155,9 +161,18 @@ func TestRequestChurnEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sanity: churn actually happened.
+	activeCount := func(tt int) int {
+		n := 0
+		for _, a := range w.Active[tt] {
+			if a {
+				n++
+			}
+		}
+		return n
+	}
 	varies := false
 	for tt := 1; tt < cfg.Horizon; tt++ {
-		if w.ActiveCount(tt) != w.ActiveCount(0) {
+		if activeCount(tt) != activeCount(0) {
 			varies = true
 			break
 		}

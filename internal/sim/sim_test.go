@@ -293,6 +293,56 @@ func histFor(net *mec.Network) []float64 {
 	return out
 }
 
+// TestRejectedDecideLeavesCellUnchanged decides once, then sends decides and
+// observes whose volumes are malformed or beyond maxVolume. Each must fail
+// with ErrBadVolumes and leave Status() exactly as it was: a decide used to
+// apply the pending slot's default observe before it checked its volumes, and
+// a decide of volumes 1e308 made the cell's running delay +Inf. Volumes at the
+// ceiling are served and keep that delay finite.
+func TestRejectedDecideLeavesCellUnchanged(t *testing.T) {
+	net, w := testEnv(t, 12, 20, 10)
+	r, err := NewRunner(net, w, Config{Seed: 7, DemandsGiven: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := algorithms.NewOLGD(algorithms.DefaultOLGDConfig(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.NewCell(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Decide(nil); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Status()
+	fill := func(v float64) []float64 {
+		vols := make([]float64, len(w.Requests))
+		for l := range vols {
+			vols[l] = v
+		}
+		return vols
+	}
+	for _, vols := range [][]float64{{1, 2}, fill(1e308), fill(math.Nextafter(maxVolume, math.Inf(1))), fill(0), fill(math.NaN())} {
+		if _, err := c.Decide(vols); !errors.Is(err, ErrBadVolumes) {
+			t.Fatalf("decide %v: err = %v, want ErrBadVolumes", vols[:2], err)
+		}
+		if err := c.Observe(nil, vols); !errors.Is(err, ErrBadVolumes) {
+			t.Fatalf("observe %v: err = %v, want ErrBadVolumes", vols[:2], err)
+		}
+		if after := c.Status(); after != before {
+			t.Fatalf("rejected volumes %v changed the cell: %+v, was %+v", vols[:2], after, before)
+		}
+	}
+	if _, err := c.Decide(fill(maxVolume)); err != nil {
+		t.Fatalf("decide at the ceiling: %v", err)
+	}
+	if st := c.Status(); st.Decides != 2 || st.Observes != 1 || math.IsInf(st.AvgDelayMS, 0) || math.IsNaN(st.AvgDelayMS) {
+		t.Fatalf("after a decide at the ceiling: %+v, want 2 decides, 1 observe and a finite delay", st)
+	}
+}
+
 // TestObserveBoundsClientDelays pins the ceiling on client-supplied delays.
 // Accepted, one observe of 1e308 ms knocked the next decides of OL_GD and
 // OL_GD/UCB onto the greedy rung; delays above the ceiling are rejected

@@ -33,14 +33,8 @@ type config struct {
 	areaM       float64
 }
 
-// WithMix sets the tier mix.
-func WithMix(m Mix) Option { return func(c *config) { c.mix = m } }
-
 // WithConnectProb sets the pairwise link probability (paper: 0.1).
 func WithConnectProb(p float64) Option { return func(c *config) { c.connectProb = p } }
-
-// WithArea sets the square deployment area side length in meters.
-func WithArea(side float64) Option { return func(c *config) { c.areaM = side } }
 
 // GTITM generates an n-station synthetic 5G MEC topology in the style of
 // GT-ITM's flat random model: macro stations at cluster centers, micro and

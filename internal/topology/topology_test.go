@@ -86,13 +86,13 @@ func TestGTITMErrors(t *testing.T) {
 	if _, err := GTITM(10, 0, WithConnectProb(1.5)); err == nil {
 		t.Error("p=1.5 accepted")
 	}
-	if _, err := GTITM(10, 0, WithMix(Mix{MacroFrac: 0.9, MicroFrac: 0.9})); err == nil {
+	if _, err := GTITM(10, 0, withMix(Mix{MacroFrac: 0.9, MicroFrac: 0.9})); err == nil {
 		t.Error("mix summing > 1 accepted")
 	}
 }
 
 func TestGTITMOptions(t *testing.T) {
-	net, err := GTITM(30, 5, WithConnectProb(0), WithArea(500), WithMix(Mix{MacroFrac: 0.1, MicroFrac: 0.2}))
+	net, err := GTITM(30, 5, WithConnectProb(0), withArea(500), withMix(Mix{MacroFrac: 0.1, MicroFrac: 0.2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,3 +167,8 @@ func TestIsConnectedEmptyAndSplit(t *testing.T) {
 		t.Error("two isolated stations reported connected")
 	}
 }
+
+// withMix and withArea set generator knobs production code leaves at their
+// defaults.
+func withMix(m Mix) Option         { return func(c *config) { c.mix = m } }
+func withArea(side float64) Option { return func(c *config) { c.areaM = side } }

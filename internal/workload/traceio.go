@@ -4,15 +4,13 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 )
 
 // WriteTraceCSV exports the workload's demand trace as CSV, one row per
 // (slot, request) pair with the hidden regime and observable occupancy
-// columns. The format round-trips through ReadTraceCSV, letting users
-// archive a trace, edit it, or substitute a REAL measured trace for the
-// synthetic generator while keeping the rest of the pipeline unchanged.
+// columns. Floats are written in shortest round-trip form, so the file holds
+// the trace exactly.
 //
 // Columns: slot, request, service, cluster, volume, cluster_burst,
 // occupancy, active.
@@ -46,97 +44,4 @@ func (w *Workload) WriteTraceCSV(out io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadTraceCSV replaces the workload's Volumes, ClusterBurst, and Occupancy
-// with a trace previously written by WriteTraceCSV (or hand-authored in the
-// same format). The trace must cover exactly the workload's horizon and
-// request set; service/cluster columns are validated against the requests.
-func (w *Workload) ReadTraceCSV(in io.Reader) error {
-	cr := csv.NewReader(in)
-	header, err := cr.Read()
-	if err != nil {
-		return fmt.Errorf("workload: reading header: %w", err)
-	}
-	if len(header) != 8 || header[0] != "slot" || header[4] != "volume" {
-		return fmt.Errorf("workload: unexpected header %v", header)
-	}
-
-	T, L, C := w.Config.Horizon, len(w.Requests), w.Config.NumClusters
-	volumes := make([][]float64, T)
-	bursts := make([][]int, T)
-	occ := make([][]float64, T)
-	active := make([][]bool, T)
-	seen := make([][]bool, T)
-	for t := range volumes {
-		volumes[t] = make([]float64, L)
-		bursts[t] = make([]int, C)
-		occ[t] = make([]float64, C)
-		active[t] = make([]bool, L)
-		seen[t] = make([]bool, L)
-	}
-
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("workload: line %d: %w", line, err)
-		}
-		t, err := strconv.Atoi(rec[0])
-		if err != nil || t < 0 || t >= T {
-			return fmt.Errorf("workload: line %d: bad slot %q", line, rec[0])
-		}
-		l, err := strconv.Atoi(rec[1])
-		if err != nil || l < 0 || l >= L {
-			return fmt.Errorf("workload: line %d: bad request %q", line, rec[1])
-		}
-		svc, err := strconv.Atoi(rec[2])
-		if err != nil || svc != w.Requests[l].ServiceID {
-			return fmt.Errorf("workload: line %d: service %q does not match request %d", line, rec[2], l)
-		}
-		c, err := strconv.Atoi(rec[3])
-		if err != nil || c != w.Requests[l].Cluster {
-			return fmt.Errorf("workload: line %d: cluster %q does not match request %d", line, rec[3], l)
-		}
-		v, err := strconv.ParseFloat(rec[4], 64)
-		// !(v > 0) rather than v <= 0: NaN fails every comparison, so the
-		// inverted form rejects NaN volumes instead of waving them through.
-		if err != nil || !(v > 0) || math.IsInf(v, 0) {
-			return fmt.Errorf("workload: line %d: bad volume %q", line, rec[4])
-		}
-		burst, err := strconv.Atoi(rec[5])
-		if err != nil || (burst != 0 && burst != 1) {
-			return fmt.Errorf("workload: line %d: bad burst flag %q", line, rec[5])
-		}
-		o, err := strconv.ParseFloat(rec[6], 64)
-		if err != nil || math.IsNaN(o) || math.IsInf(o, 0) {
-			return fmt.Errorf("workload: line %d: bad occupancy %q", line, rec[6])
-		}
-		switch rec[7] {
-		case "1":
-			active[t][l] = true
-		case "0":
-		default:
-			return fmt.Errorf("workload: line %d: bad active flag %q", line, rec[7])
-		}
-		volumes[t][l] = v
-		bursts[t][c] = burst
-		occ[t][c] = o
-		seen[t][l] = true
-	}
-
-	for t := range seen {
-		for l, ok := range seen[t] {
-			if !ok {
-				return fmt.Errorf("workload: trace missing (slot %d, request %d)", t, l)
-			}
-		}
-	}
-	w.Volumes = volumes
-	w.ClusterBurst = bursts
-	w.Occupancy = occ
-	w.Active = active
-	return nil
 }

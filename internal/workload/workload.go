@@ -329,17 +329,6 @@ func (w *Workload) TotalDemand(t int) float64 {
 	return total
 }
 
-// ActiveCount returns |R(t)|.
-func (w *Workload) ActiveCount(t int) int {
-	n := 0
-	for _, a := range w.Active[t] {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
 // PeakComputeDemand returns the maximum over slots of total compute demand
 // (C_unit * total volume), used to check the paper's assumption that
 // aggregate station capacity exceeds total request demand.
@@ -351,33 +340,4 @@ func (w *Workload) PeakComputeDemand() float64 {
 		}
 	}
 	return peak
-}
-
-// OneHotCluster encodes request l's cluster as a one-hot vector of length
-// NumClusters — the latent code c^t of the Info-RNN-GAN.
-func (w *Workload) OneHotCluster(l int) []float64 {
-	v := make([]float64, w.Config.NumClusters)
-	v[w.Requests[l].Cluster] = 1
-	return v
-}
-
-// RequestOccupancy returns the occupancy feature series of request l's
-// cluster over slots [0, upto), as feature rows for the GAN.
-func (w *Workload) RequestOccupancy(l, upto int) [][]float64 {
-	c := w.Requests[l].Cluster
-	out := make([][]float64, upto)
-	for t := 0; t < upto; t++ {
-		out[t] = []float64{w.Occupancy[t][c]}
-	}
-	return out
-}
-
-// RequestVolumes returns the realised volume series of request l over slots
-// [0, upto).
-func (w *Workload) RequestVolumes(l, upto int) []float64 {
-	out := make([]float64, upto)
-	for t := 0; t < upto; t++ {
-		out[t] = w.Volumes[t][l]
-	}
-	return out
 }

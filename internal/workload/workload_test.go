@@ -166,30 +166,6 @@ func TestRegisteredStationsValid(t *testing.T) {
 	}
 }
 
-func TestOneHotCluster(t *testing.T) {
-	net := testNet(t)
-	w, err := Generate(net, DefaultConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := range w.Requests {
-		v := w.OneHotCluster(l)
-		if len(v) != w.Config.NumClusters {
-			t.Fatalf("one-hot length %d, want %d", len(v), w.Config.NumClusters)
-		}
-		sum := 0.0
-		for i, x := range v {
-			sum += x
-			if x == 1 && i != w.Requests[l].Cluster {
-				t.Fatalf("one-hot set at %d, want %d", i, w.Requests[l].Cluster)
-			}
-		}
-		if sum != 1 {
-			t.Fatalf("one-hot sum %v, want 1", sum)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	net := testNet(t)
 	tests := []struct {
@@ -320,32 +296,5 @@ func TestOccupancyCorrelatesWithBursts(t *testing.T) {
 	}
 	if burstOcc/nB < calmOcc/nC+1 {
 		t.Errorf("burst occupancy %v not clearly above calm %v", burstOcc/nB, calmOcc/nC)
-	}
-}
-
-func TestRequestSeriesAccessors(t *testing.T) {
-	net := testNet(t)
-	w, err := Generate(net, DefaultConfig(), 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vols := w.RequestVolumes(3, 10)
-	if len(vols) != 10 {
-		t.Fatalf("got %d volumes, want 10", len(vols))
-	}
-	for tt, v := range vols {
-		if v != w.Volumes[tt][3] {
-			t.Fatalf("volume mismatch at %d", tt)
-		}
-	}
-	occ := w.RequestOccupancy(3, 10)
-	if len(occ) != 10 {
-		t.Fatalf("got %d occupancy rows, want 10", len(occ))
-	}
-	c := w.Requests[3].Cluster
-	for tt, f := range occ {
-		if len(f) != 1 || f[0] != w.Occupancy[tt][c] {
-			t.Fatalf("occupancy mismatch at %d", tt)
-		}
 	}
 }

@@ -268,7 +268,8 @@ func WithAccessLatency(use bool) ScenarioOption {
 	return func(c *scenarioConfig) { c.useLatency = use }
 }
 
-// WithSlots caps the simulated horizon.
+// WithSlots sets the simulated horizon. Past the workload's horizon (100
+// slots by default) the workload is generated that long.
 func WithSlots(slots int) ScenarioOption {
 	return func(c *scenarioConfig) { c.slots = slots }
 }
@@ -388,6 +389,11 @@ func NewScenario(opts ...ScenarioOption) (*Scenario, error) {
 	wcfg := cfg.wcfg
 	if !cfg.wcfgSet {
 		wcfg = workload.DefaultConfig()
+	}
+	// A run longer than the workload horizon needs a longer trace. Shorter
+	// runs keep the configured horizon, so their traces stay bit-identical.
+	if cfg.slots > wcfg.Horizon {
+		wcfg.Horizon = cfg.slots
 	}
 	w, err := workload.Generate(net, wcfg, cfg.seed+1000)
 	if err != nil {

@@ -334,3 +334,20 @@ func TestAllFiguresSmokeTest(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioRunsPastWorkloadHorizon runs 150 slots, past the default
+// workload's 100: the scenario generates a trace that long instead of
+// failing with "Slots = 150 outside [0,100]".
+func TestScenarioRunsPastWorkloadHorizon(t *testing.T) {
+	s, err := NewScenario(WithStations(10), WithSlots(150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Compare("Greedy_GD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(res[0].PerSlotDelayMS); got != 150 {
+		t.Fatalf("%d slots run, want 150", got)
+	}
+}

@@ -126,7 +126,7 @@ func TestObserverTraceAndMetrics(t *testing.T) {
 	}
 
 	snap := o.Snapshot()
-	if n := snap.NumSeries(); n < 10 {
+	if n := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms); n < 10 {
 		t.Errorf("snapshot has %d series, want >= 10", n)
 	}
 	for _, name := range []string{"sim.slots", "lp.solves", "bandit.observations", "lp.workspace_reuses"} {
