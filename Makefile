@@ -42,8 +42,10 @@ chaos:
 # (snapshot framing and WAL replay, which face arbitrary torn/bit-flipped
 # bytes after a crash), and the daemon's decide and observe request bodies
 # (no body may crash a shard worker) — plus the network-simplex solver on
-# arbitrary small graphs (never panics, invariants always hold, agrees with
-# the SSP referee in internal/flow/flowref on non-negative costs).
+# arbitrary small graphs, solved cold and then re-solved warm for a second
+# flow value on the same workspace (never panics, invariants always hold,
+# both solves agree with the SSP referee in internal/flow/flowref on
+# non-negative costs).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/faults/

@@ -47,7 +47,9 @@ func driftBenchDelays(rng *rand.Rand, p *caching.Problem) {
 }
 
 // BenchmarkSolveLPFlow measures the min-cost-flow LP path at experiment scale
-// (40 requests x 20 stations), fresh allocation vs workspace reuse.
+// (40 requests x 20 stations is above the exact-solver variable limit, so
+// Solve dispatches it to the flow backend), fresh allocation vs workspace
+// reuse.
 func BenchmarkSolveLPFlow(b *testing.B) {
 	for _, mode := range []string{"fresh", "workspace"} {
 		b.Run(mode, func(b *testing.B) {
@@ -57,14 +59,14 @@ func BenchmarkSolveLPFlow(b *testing.B) {
 			var ws *caching.Workspace
 			if mode == "workspace" {
 				ws = caching.NewWorkspace()
-				if _, err := p.SolveLPFlowWS(ws); err != nil {
+				if _, err := p.Solve(ws); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				driftBenchDelays(rng, p)
-				if _, err := p.SolveLPFlowWS(ws); err != nil {
+				if _, err := p.Solve(ws); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -74,7 +76,8 @@ func BenchmarkSolveLPFlow(b *testing.B) {
 
 // BenchmarkSolveLPExact measures the dense-simplex LP path at its dispatch
 // scale (8 requests x 6 stations stays under the exact-solver variable
-// limit), fresh allocation vs workspace reuse.
+// limit, so Solve dispatches it to the exact backend), fresh allocation vs
+// workspace reuse.
 func BenchmarkSolveLPExact(b *testing.B) {
 	for _, mode := range []string{"fresh", "workspace"} {
 		b.Run(mode, func(b *testing.B) {
@@ -84,14 +87,14 @@ func BenchmarkSolveLPExact(b *testing.B) {
 			var ws *caching.Workspace
 			if mode == "workspace" {
 				ws = caching.NewWorkspace()
-				if _, err := p.SolveLPExactWS(ws); err != nil {
+				if _, err := p.Solve(ws); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				driftBenchDelays(rng, p)
-				if _, err := p.SolveLPExactWS(ws); err != nil {
+				if _, err := p.Solve(ws); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -135,7 +138,7 @@ func BenchmarkIncrementalFlow(b *testing.B) {
 			var ws *caching.Workspace
 			if mode != "fresh" {
 				ws = caching.NewWorkspace()
-				if _, err := p.SolveLPFlowWS(ws); err != nil {
+				if _, err := p.Solve(ws); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -147,7 +150,7 @@ func BenchmarkIncrementalFlow(b *testing.B) {
 				if mode == "workspace" {
 					ws.ResetWarm()
 				}
-				if _, err := p.SolveLPFlowWS(ws); err != nil {
+				if _, err := p.Solve(ws); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -335,16 +335,20 @@ func BenchmarkWarmCacheAblation(b *testing.B) {
 	b.ReportMetric(warm, "warm_cache_delay_ms")
 }
 
-// BenchmarkFailureRobustness injects station failures and measures how the
-// learning policy degrades versus the static baselines (robustness
-// extension beyond the paper's evaluation).
+// BenchmarkFailureRobustness injects i.i.d. station outages (2% per station
+// per slot, 5 slots down) and measures how the learning policy degrades
+// versus the static baselines (robustness extension beyond the paper's
+// evaluation). The chaos seed 9+6910 gives the outage injector seed 9+7919
+// (faults.Parse adds 1009 for the first injector), so its figures stay
+// comparable with earlier benchmark snapshots.
 func BenchmarkFailureRobustness(b *testing.B) {
 	b.ReportAllocs()
 	names := []string{"OL_GD", "Greedy_GD", "Pri_GD"}
 	delays := make([]float64, len(names))
 	var failedSlots int
 	for i := 0; i < b.N; i++ {
-		s, err := NewScenario(WithStations(50), WithSeed(9), WithFailures(0.02, 5))
+		s, err := NewScenario(WithStations(50), WithSeed(9),
+			WithChaos("outage:0.02:5"), WithChaosSeed(9+6910))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -145,7 +145,7 @@ func (o *OLGD) Decide(view *SlotView) (*caching.Assignment, error) {
 	// Line 3-4: relax the ILP with theta = current estimates, solve, and
 	// extract candidate sets.
 	p.UnitDelayMS = o.arms.Means()
-	frac, err := p.SolveLPLadderWS(o.ws)
+	frac, err := p.Solve(o.ws)
 	if err != nil {
 		return nil, fmt.Errorf("algorithms: OLGD slot %d: %w", view.T, err)
 	}

@@ -54,7 +54,7 @@ type SlotView struct {
 // DegradeReport is the per-slot record of engaged degradation machinery.
 type DegradeReport struct {
 	// FallbackSolves counts solver-ladder rungs that failed before the slot's
-	// relaxation was solved (see caching.SolveLPLadderWS).
+	// relaxation was solved (see caching.Problem.Solve).
 	FallbackSolves int
 	// IterLimited reports that a failed rung exhausted its pivot budget
 	// (caching.ErrIterLimit) rather than proving infeasibility.
@@ -199,13 +199,13 @@ func recordSolve(o *obs.Observer, policy string, stats caching.SolveStats) {
 		o.Inc("flow.warm_fallbacks")
 	}
 	if stats.Skipped {
-		o.IncL("solve.skips", obs.L("reason", stats.SkipReason)...)
+		o.IncL("solve.skips", obs.L("reason", "unchanged")...)
 	}
 	// Network-simplex engine economics: basis exchanges per solve and how
 	// often the carried basis had to be rebuilt from scratch.
-	if stats.Pivots > 0 {
-		o.Add("flow.pivots", int64(stats.Pivots))
-		o.ObserveWith("flow.pivots_per_solve", SolverCountBuckets, float64(stats.Pivots))
+	if stats.Solver == caching.SolverFlow && stats.Iterations > 0 {
+		o.Add("flow.pivots", int64(stats.Iterations))
+		o.ObserveWith("flow.pivots_per_solve", SolverCountBuckets, float64(stats.Iterations))
 	}
 	if stats.BasisRebuilt {
 		o.Inc("flow.basis_rebuilds")
@@ -310,7 +310,7 @@ func repairCapacity(p *caching.Problem, a *caching.Assignment) int {
 // problem's current theta, report the solve, round by argmax and repair
 // capacity.
 func solveRoundRepair(view *SlotView, ws *caching.Workspace, ob *obs.Observer, policy string) (*caching.Fractional, *caching.Assignment, error) {
-	frac, err := view.Problem.SolveLPLadderWS(ws)
+	frac, err := view.Problem.Solve(ws)
 	if err != nil {
 		return nil, nil, err
 	}

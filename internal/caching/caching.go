@@ -7,11 +7,12 @@
 //	     y_ki >= x_li                         for l with service k    (6)
 //	     x, y binary                                                  (7)
 //
-// The package lowers the LP relaxation to either the exact simplex solver in
-// internal/lp (small instances; also the test oracle) or a min-cost-flow
-// reformulation solved by the network simplex in internal/flow (experiment
-// scale), extracts the candidate base-station sets of Eq. (9), and evaluates
-// integral assignments.
+// Problem.Solve is the one way into the per-slot solve. It lowers the LP
+// relaxation to either the exact simplex solver in internal/lp (small
+// instances; also the test oracle) or a min-cost-flow reformulation solved by
+// the network simplex in internal/flow (experiment scale), and degrades to a
+// greedy assignment when both fail. The package also extracts the candidate
+// base-station sets of Eq. (9) and evaluates integral assignments.
 //
 // Beyond the paper's objective, an optional known access-latency term
 // lat(reg(l), i) can be added to the per-assignment cost; it models the
@@ -29,8 +30,8 @@ import (
 )
 
 // Solver failure modes, re-exported so policies can branch with errors.Is
-// without importing internal/lp. The wrapped errors returned by the *WS
-// solvers match these sentinels.
+// without importing internal/lp. The wrapped errors of a failed ladder rung
+// match these sentinels.
 var (
 	// ErrInfeasible is lp.ErrInfeasible: the relaxation has no feasible point.
 	ErrInfeasible = lp.ErrInfeasible
@@ -72,7 +73,7 @@ type Problem struct {
 	AccessLatencyMS [][]float64
 	// SolveBudget caps the simplex pivots the exact backend may spend on this
 	// slot (0 = the solver's default). Exhausting it surfaces as ErrIterLimit,
-	// which the degradation ladder (SolveLPLadderWS) absorbs by falling back
+	// which the degradation ladder (Solve) absorbs by falling back
 	// to the flow and greedy rungs instead of aborting the slot.
 	SolveBudget int
 }
@@ -177,11 +178,6 @@ type SolveStats struct {
 	// solution returned because every input was bit-identical — the result is
 	// exactly what a cold solve would produce.
 	Skipped bool
-	// SkipReason is "unchanged" when Skipped is set.
-	SkipReason string
-	// Pivots is the network-simplex basis-exchange count (flow backend; 0
-	// otherwise).
-	Pivots int
 	// BasisRebuilt reports the simplex solve built a fresh spanning-tree basis
 	// instead of re-optimising the carried one (always true on cold solves;
 	// true on a warm solve only when the warm attempt was abandoned).
@@ -193,10 +189,6 @@ type SolveStats struct {
 	// budget ran out) as opposed to infeasibility — distinguishable so callers
 	// can tell "needs more budget" from "needs load shedding".
 	IterLimited bool
-	// Attempts lists the ladder rungs tried in order, the successful one last
-	// (a single entry when the primary backend solved it). Populated by
-	// SolveLPLadderWS; direct backend calls leave it nil.
-	Attempts []SolverKind
 }
 
 // Fractional is a (possibly fractional) solution to the LP relaxation.
@@ -228,7 +220,7 @@ func (a *Assignment) Instances(p *Problem) map[[2]int]bool {
 }
 
 // _exactVarLimit bounds the |R|*|BS| product for which the dense simplex is
-// used; beyond it SolveLPWS switches to the flow reformulation. The dense
+// used; beyond it Solve starts on the flow reformulation. The dense
 // tableau costs O((L+N+LN)^2) memory and cubic-ish pivoting time, so only
 // small instances stay on the exact path in per-slot use.
 const _exactVarLimit = 200
@@ -244,8 +236,9 @@ const _zeroCapOverload = 100
 // backend), the flow graph, its edge handles, and the network-simplex basis
 // (flow backend), plus the X/Y result matrices. When consecutive solves share
 // a shape — same request count, stations, and (for the exact path)
-// per-request service pattern — the lowered instance is rewritten in place
-// instead of rebuilt, reported via SolveStats.WorkspaceReused.
+// per-request service pattern — the lowered instance reuses the previous
+// one's storage (and, on the exact path, its LP structure), reported via
+// SolveStats.WorkspaceReused.
 //
 // Every workspace also solves incrementally, in two ways. A slot whose inputs
 // are bit-identical to the last successful solve's returns that solution
@@ -257,17 +250,15 @@ const _zeroCapOverload = 100
 // ResetWarm before each solve, gives the cold reference.
 //
 // A Workspace is not safe for concurrent use, and the Fractional returned by
-// the *WS solvers aliases workspace memory: it is valid only until the next
+// Solve aliases workspace memory: it is valid only until the next
 // solve on the same workspace.
 type Workspace struct {
 	// Flow backend state.
-	flowWS  *flow.Workspace
-	graph   *flow.Graph
-	graphL  int
-	graphN  int
-	srcIDs  []int // src -> request edge handle per request
-	asgIDs  []int // request -> station edge handles, flattened l*N+i
-	sinkIDs []int // station -> sink edge handle per station
+	flowWS *flow.Workspace
+	graph  *flow.Graph
+	graphL int
+	graphN int
+	asgIDs []int // request -> station edge handles, flattened l*N+i
 
 	// Exact (simplex) backend state.
 	lpWS       *lp.Workspace
@@ -303,7 +294,7 @@ type Workspace struct {
 
 // NewWorkspace returns an empty workspace; state builds up on first solve.
 func NewWorkspace() *Workspace {
-	return &Workspace{flowWS: flow.NewWorkspace(), lpWS: lp.NewWorkspace()}
+	return &Workspace{flowWS: flow.NewWorkspace(), graph: flow.NewGraph(0), lpWS: lp.NewWorkspace()}
 }
 
 // ResetWarm drops all cross-slot incremental carryover — the cached
@@ -395,7 +386,7 @@ func (ws *Workspace) unchangedSince(p *Problem) bool {
 
 // skippedResult assembles the Fractional for a skipped solve: the cached X/Y
 // matrices (untouched since the solve that produced them) plus fresh stats.
-func (ws *Workspace) skippedResult(kind SolverKind, reason string) *Fractional {
+func (ws *Workspace) skippedResult(kind SolverKind) *Fractional {
 	return &Fractional{
 		X:         ws.xRows,
 		Y:         ws.yRows,
@@ -404,7 +395,6 @@ func (ws *Workspace) skippedResult(kind SolverKind, reason string) *Fractional {
 			Solver:          kind,
 			WorkspaceReused: true,
 			Skipped:         true,
-			SkipReason:      reason,
 		},
 	}
 }
@@ -438,141 +428,64 @@ func (ws *Workspace) result(L, N, K int) *Fractional {
 	return &Fractional{X: ws.xRows, Y: ws.yRows}
 }
 
-// SolveLPWS solves the LP relaxation, dispatching on instance size, with a
-// reusable workspace (nil allocates a throwaway one). Workspace reuse changes
-// where the solver's buffers live, never the arithmetic: results are
-// bit-identical to the fresh-allocation path.
-func (p *Problem) SolveLPWS(ws *Workspace) (*Fractional, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(p.Requests)*p.NumStations <= _exactVarLimit {
-		return p.SolveLPExactWS(ws)
-	}
-	return p.SolveLPFlowWS(ws)
-}
-
-// SolveLPExactWS lowers the relaxation of ILP (3)-(7) to internal/lp and
-// lifts the solution back. Intended for small instances and as the oracle
-// against which SolveLPFlowWS is validated. When the instance shape matches
-// the previous solve on ws (same L, N, K and per-request service pattern),
-// only the objective costs and the capacity rows of the cached lp.Problem are
-// rewritten in place; otherwise the problem is rebuilt.
-func (p *Problem) SolveLPExactWS(ws *Workspace) (*Fractional, error) {
+// Solve is the per-slot solve: it solves the LP relaxation with a reusable
+// workspace (nil allocates a throwaway one, shared by every rung of this
+// call), dispatching on instance size, and when the chosen backend fails —
+// iteration budget exhausted (ErrIterLimit), an infeasible slot (a fault
+// zeroed too much capacity), numerical trouble — it descends the degradation
+// ladder instead of failing:
+//
+//	LP-exact (simplex)  →  min-cost-flow  →  greedy one-hot assignment
+//
+// Instances with |R|*|BS| <= _exactVarLimit start on the exact simplex; larger
+// ones start on the flow rung. The greedy rung always succeeds, so a nil error
+// is guaranteed for any structurally valid problem; only Validate errors
+// (programmer mistakes, not solver conditions) still propagate. The descent is
+// recorded in Stats.Fallbacks and Stats.IterLimited so degraded slots are
+// observable. Workspace reuse changes where the solver's buffers live, never
+// the arithmetic: a cold solve is bit-identical to the fresh-allocation path.
+func (p *Problem) Solve(ws *Workspace) (*Fractional, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if ws == nil {
 		ws = NewWorkspace()
 	}
+	fallbacks, iterLimited := 0, false
+	if len(p.Requests)*p.NumStations <= _exactVarLimit {
+		frac, err := p.solveExact(ws)
+		if err == nil {
+			return frac, nil
+		}
+		// Only the exact rung has a pivot budget (SolveBudget) to exhaust.
+		fallbacks, iterLimited = 1, errors.Is(err, ErrIterLimit)
+	}
+	// The flow rung is the primary backend at flow scale and the first
+	// fallback below it.
+	frac, err := p.solveFlow(ws)
+	if err != nil {
+		fallbacks++
+		frac = p.solveGreedy(ws)
+	}
+	frac.Stats.Fallbacks = fallbacks
+	frac.Stats.IterLimited = iterLimited
+	return frac, nil
+}
+
+// solveExact is the exact rung: it lowers the relaxation of ILP (3)-(7) to
+// internal/lp and lifts the solution back. It serves small instances and is
+// the oracle against which solveFlow is validated.
+func (p *Problem) solveExact(ws *Workspace) (*Fractional, error) {
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
 	if ws.prevKind == SolverSimplex && ws.unchangedSince(p) {
-		return ws.skippedResult(SolverSimplex, "unchanged"), nil
+		return ws.skippedResult(SolverSimplex), nil
 	}
 	// The cached solution is consumed by the solve below (the result matrices
 	// are rewritten), so the snapshot must not outlive a failed attempt.
 	ws.prevKind = ""
-	invR := 1.0 / float64(L)
-	// Variable layout: x_li at l*N+i, y_ki at L*N + k*N + i.
-	xIdx := func(l, i int) int { return l*N + i }
-	yIdx := func(k, i int) int { return L*N + k*N + i }
-
-	reused := ws.lpProb != nil && ws.lpL == L && ws.lpN == N && ws.lpK == K
-	if reused {
-		for l := 0; l < L; l++ {
-			if ws.lpServices[l] != p.Requests[l].Service {
-				reused = false
-				break
-			}
-		}
-	}
-
-	var prob *lp.Problem
-	if reused {
-		// Same structure: rewrite costs and the capacity rows in place.
-		prob = ws.lpProb
-		for l := 0; l < L; l++ {
-			for i := 0; i < N; i++ {
-				if err := prob.SetCost(xIdx(l, i), invR*p.AssignCost(l, i)); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for k := 0; k < K; k++ {
-			for i := 0; i < N; i++ {
-				if err := prob.SetCost(yIdx(k, i), invR*p.InstDelayMS[i][k]); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// (5) station capacities are rows [L, L+N): the coefficients carry
-		// the slot's request volumes, the RHS its capacity.
-		for i := 0; i < N; i++ {
-			coefs := prob.ConstraintCoefs(L + i)
-			for l := 0; l < L; l++ {
-				coefs[l] = p.Requests[l].Volume * p.CUnit
-			}
-			if err := prob.SetConstraintRHS(L+i, p.CapacityMHz[i]); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		prob = lp.NewProblem()
-		for l := 0; l < L; l++ {
-			for i := 0; i < N; i++ {
-				cost := invR * p.AssignCost(l, i)
-				prob.AddBoundedVariable(cost, 1, fmt.Sprintf("x_%d_%d", l, i))
-			}
-		}
-		for k := 0; k < K; k++ {
-			for i := 0; i < N; i++ {
-				prob.AddBoundedVariable(invR*p.InstDelayMS[i][k], 1, fmt.Sprintf("y_%d_%d", k, i))
-			}
-		}
-
-		cols := make([]int, L+N)
-		coefs := make([]float64, L+N)
-		// (4) each request fully assigned.
-		for l := 0; l < L; l++ {
-			for i := 0; i < N; i++ {
-				cols[i] = xIdx(l, i)
-				coefs[i] = 1
-			}
-			if err := prob.AddConstraint(cols[:N], coefs[:N], lp.EQ, 1); err != nil {
-				return nil, err
-			}
-		}
-		// (5) station capacities.
-		for i := 0; i < N; i++ {
-			for l := 0; l < L; l++ {
-				cols[l] = xIdx(l, i)
-				coefs[l] = p.Requests[l].Volume * p.CUnit
-			}
-			if err := prob.AddConstraint(cols[:L], coefs[:L], lp.LE, p.CapacityMHz[i]); err != nil {
-				return nil, err
-			}
-		}
-		// (6) y_ki >= x_li.
-		for l := 0; l < L; l++ {
-			k := p.Requests[l].Service
-			for i := 0; i < N; i++ {
-				if err := prob.AddConstraint(
-					[]int{yIdx(k, i), xIdx(l, i)}, []float64{1, -1}, lp.GE, 0); err != nil {
-					return nil, err
-				}
-			}
-		}
-
-		ws.lpProb = prob
-		ws.lpL, ws.lpN, ws.lpK = L, N, K
-		ws.lpServices = growIDs(ws.lpServices, L)
-		for l := 0; l < L; l++ {
-			ws.lpServices[l] = p.Requests[l].Service
-		}
-	}
-
-	if err := prob.SetIterLimit(p.SolveBudget); err != nil {
-		return nil, fmt.Errorf("caching: %w", err)
+	prob, reused, err := p.lowerLP(ws)
+	if err != nil {
+		return nil, err
 	}
 	sol, err := prob.SolveWS(ws.lpWS)
 	if err != nil {
@@ -586,68 +499,142 @@ func (p *Problem) SolveLPExactWS(ws *Workspace) (*Fractional, error) {
 		Phase1Iterations: sol.Phase1Iterations,
 		WorkspaceReused:  reused,
 	}
+	// Variable layout: x_li at l*N+i, y_ki at L*N + k*N + i.
 	for l := 0; l < L; l++ {
-		for i := 0; i < N; i++ {
-			frac.X[l][i] = sol.X[xIdx(l, i)]
-		}
+		copy(frac.X[l], sol.X[l*N:(l+1)*N])
 	}
 	for k := 0; k < K; k++ {
-		for i := 0; i < N; i++ {
-			frac.Y[k][i] = sol.X[yIdx(k, i)]
-		}
+		copy(frac.Y[k], sol.X[L*N+k*N:L*N+(k+1)*N])
 	}
 	ws.noteSolved(p, SolverSimplex, frac.Objective)
 	return frac, nil
 }
 
-// SolveLPFlowWS solves a min-cost-flow relaxation of the instance: requests
-// supply rho_l * C_unit compute units, stations absorb up to C_i, and the
-// per-unit edge cost folds in theta_i, access latency, and the instantiation
-// delay amortised per request. The amortisation makes the flow objective an
-// upper bound on the true LP objective; the x fractions it produces are what
-// Algorithm 1 consumes (candidate sets + probabilities), and tests verify
-// they track the exact LP closely on overlapping sizes.
-//
-// The network simplex (flow.MinCostFlowSimplexWS) solves it on a reusable
-// workspace (nil allocates a throwaway one). The graph topology depends
-// only on (L, N), so when consecutive solves match, every edge is rewritten
-// in place via flow.Graph.SetEdge — no node or adjacency rebuild. An
-// unchanged slot skips outright, and any changed slot re-optimises the
-// spanning-tree basis carried from the previous solve
-// (flow.MinCostFlowSimplexWarmWS), which handles its own staleness: a
-// topology change or unusable restored tree falls back to a cold basis
-// rebuild internally, reported via Stats.BasisRebuilt.
-func (p *Problem) SolveLPFlowWS(ws *Workspace) (*Fractional, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if ws == nil {
-		ws = NewWorkspace()
-	}
+// lowerLP writes the LP relaxation of p into the workspace's lp.Problem. The
+// structure — the x and y variables, rows (4) and (6), and the column pattern
+// of the (5) rows — depends only on (L, N, K) and the per-request service
+// pattern, so it is built only when that shape changes (reused reports it did
+// not). The numbers — costs, the capacity coefficients of (5) and their RHS —
+// are then written in place on every solve.
+func (p *Problem) lowerLP(ws *Workspace) (prob *lp.Problem, reused bool, err error) {
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
-	src, sink := 0, 1+L+N
+	// Variable layout: x_li at l*N+i, y_ki at L*N + k*N + i.
+	xIdx := func(l, i int) int { return l*N + i }
+	yIdx := func(k, i int) int { return L*N + k*N + i }
 
+	reused = ws.lpProb != nil && ws.lpL == L && ws.lpN == N && ws.lpK == K
+	for l := 0; reused && l < L; l++ {
+		reused = ws.lpServices[l] == p.Requests[l].Service
+	}
+	if !reused {
+		prob = lp.NewProblem()
+		for j := 0; j < (L+K)*N; j++ {
+			prob.AddBoundedVariable(0, 1)
+		}
+		cols := make([]int, L+N)
+		coefs := make([]float64, L+N)
+		// (4) each request fully assigned.
+		for l := 0; l < L; l++ {
+			for i := 0; i < N; i++ {
+				cols[i] = xIdx(l, i)
+				coefs[i] = 1
+			}
+			if err := prob.AddConstraint(cols[:N], coefs[:N], lp.EQ, 1); err != nil {
+				return nil, false, err
+			}
+		}
+		// (5) station capacities; coefficients and RHS are filled below.
+		for i := 0; i < N; i++ {
+			for l := 0; l < L; l++ {
+				cols[l] = xIdx(l, i)
+			}
+			if err := prob.AddConstraint(cols[:L], coefs[:L], lp.LE, 0); err != nil {
+				return nil, false, err
+			}
+		}
+		// (6) y_ki >= x_li.
+		for l := 0; l < L; l++ {
+			k := p.Requests[l].Service
+			for i := 0; i < N; i++ {
+				if err := prob.AddConstraint(
+					[]int{yIdx(k, i), xIdx(l, i)}, []float64{1, -1}, lp.GE, 0); err != nil {
+					return nil, false, err
+				}
+			}
+		}
+		ws.lpProb = prob
+		ws.lpL, ws.lpN, ws.lpK = L, N, K
+		ws.lpServices = growIDs(ws.lpServices, L)
+		for l := 0; l < L; l++ {
+			ws.lpServices[l] = p.Requests[l].Service
+		}
+	}
+
+	prob = ws.lpProb
+	invR := 1.0 / float64(L)
+	for l := 0; l < L; l++ {
+		for i := 0; i < N; i++ {
+			if err := prob.SetCost(xIdx(l, i), invR*p.AssignCost(l, i)); err != nil {
+				return nil, false, err
+			}
+		}
+	}
+	for k := 0; k < K; k++ {
+		for i := 0; i < N; i++ {
+			if err := prob.SetCost(yIdx(k, i), invR*p.InstDelayMS[i][k]); err != nil {
+				return nil, false, err
+			}
+		}
+	}
+	// (5) station capacities are rows [L, L+N): the coefficients carry the
+	// slot's request volumes, the RHS its capacity.
+	for i := 0; i < N; i++ {
+		coefs := prob.ConstraintCoefs(L + i)
+		for l := 0; l < L; l++ {
+			coefs[l] = p.Requests[l].Volume * p.CUnit
+		}
+		if err := prob.SetConstraintRHS(L+i, p.CapacityMHz[i]); err != nil {
+			return nil, false, err
+		}
+	}
+	if err := prob.SetIterLimit(p.SolveBudget); err != nil {
+		return nil, false, fmt.Errorf("caching: %w", err)
+	}
+	return prob, reused, nil
+}
+
+// solveFlow is the flow rung: a min-cost-flow relaxation of the instance.
+// Requests supply rho_l * C_unit compute units, stations absorb up to C_i,
+// and the per-unit edge cost folds in theta_i, access latency, and the
+// instantiation delay amortised per request. The amortisation makes the flow
+// objective an upper bound on the true LP objective; the x fractions it
+// produces are what Algorithm 1 consumes (candidate sets + probabilities),
+// and tests verify they track the exact LP closely on overlapping sizes.
+//
+// An unchanged slot skips outright. Any other slot after a flow solve of the
+// same shape re-optimises the spanning-tree basis carried in the workspace,
+// which handles its own staleness: an unusable restored tree falls back to a
+// cold basis rebuild inside flow, reported via Stats.BasisRebuilt. Every other
+// slot drops the basis first and solves cold.
+func (p *Problem) solveFlow(ws *Workspace) (*Fractional, error) {
+	L, N, K := len(p.Requests), p.NumStations, p.NumServices
 	warmEligible := false
-	if ws.prevKind == SolverFlow && ws.graph != nil &&
-		ws.graphL == L && ws.graphN == N {
+	if ws.prevKind == SolverFlow && ws.graphL == L && ws.graphN == N {
 		if ws.unchangedSince(p) {
-			return ws.skippedResult(SolverFlow, "unchanged"), nil
+			return ws.skippedResult(SolverFlow), nil
 		}
 		warmEligible = true
 	}
 	ws.prevKind = ""
+	if !warmEligible {
+		ws.flowWS.ResetBasis()
+	}
 
-	g, totalSupply, reused, err := p.lowerFlowGraph(ws)
+	totalSupply, reused, err := p.lowerFlow(ws)
 	if err != nil {
 		return nil, err
 	}
-
-	var flowRes flow.Result
-	if warmEligible {
-		flowRes, err = g.MinCostFlowSimplexWarmWS(src, sink, totalSupply, ws.flowWS)
-	} else {
-		flowRes, err = g.MinCostFlowSimplexWS(src, sink, totalSupply, ws.flowWS)
-	}
+	flowRes, err := ws.graph.MinCostFlow(0, 1+L+N, totalSupply, ws.flowWS)
 	if err != nil {
 		return nil, fmt.Errorf("caching: flow relaxation (capacity %v < demand %v?): %w",
 			sum(p.CapacityMHz), totalSupply, err)
@@ -657,7 +644,6 @@ func (p *Problem) SolveLPFlowWS(ws *Workspace) (*Fractional, error) {
 	frac.Stats = SolveStats{
 		Solver:          SolverFlow,
 		Iterations:      flowRes.Pivots,
-		Pivots:          flowRes.Pivots,
 		BasisRebuilt:    flowRes.BasisRebuilt,
 		WorkspaceReused: reused,
 		WarmStarted:     flowRes.WarmStarted,
@@ -670,84 +656,48 @@ func (p *Problem) SolveLPFlowWS(ws *Workspace) (*Fractional, error) {
 	return frac, nil
 }
 
-// lowerFlowGraph builds (or, when the cached topology matches, rewrites in
-// place) the min-cost-flow lowering of p on the workspace graph: source ->
-// request edges carrying rho_l*C_unit, request -> station edges priced per
-// compute unit, station -> sink edges bounded by capacity.
-func (p *Problem) lowerFlowGraph(ws *Workspace) (g *flow.Graph, totalSupply float64, reused bool, err error) {
+// lowerFlow writes the min-cost-flow lowering of p onto the workspace graph:
+// source -> request edges carrying rho_l*C_unit, request -> station edges
+// priced per compute unit, station -> sink edges bounded by capacity. The
+// graph is emptied and re-wired on every solve; its edge storage is reused,
+// so a same-shape solve (reused) allocates nothing and lays every edge out
+// where the carried network-simplex basis expects it.
+func (p *Problem) lowerFlow(ws *Workspace) (totalSupply float64, reused bool, err error) {
 	L, N := len(p.Requests), p.NumStations
-	src := 0
-	sink := 1 + L + N
+	src, sink := 0, 1+L+N
 	reqNode := func(l int) int { return 1 + l }
 	bsNode := func(i int) int { return 1 + L + i }
 
-	reused = ws.graph != nil && ws.graphL == L && ws.graphN == N
-	g = ws.graph
-	if reused {
-		// Same topology: rewrite capacities and costs on the recorded edge
-		// handles (SetEdge also zeroes the carried flow).
-		for l := 0; l < L; l++ {
-			supply := p.Requests[l].Volume * p.CUnit
-			totalSupply += supply
-			if err := g.SetEdge(ws.srcIDs[l], supply, 0); err != nil {
-				return nil, 0, false, err
-			}
-			k := p.Requests[l].Service
-			for i := 0; i < N; i++ {
-				// Cost per compute unit so a full assignment costs
-				// AssignCost + amortised instantiation.
-				perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][k]) / supply
-				if err := g.SetEdge(ws.asgIDs[l*N+i], supply, perUnit); err != nil {
-					return nil, 0, false, err
-				}
-			}
+	reused = ws.graphL == L && ws.graphN == N
+	g := ws.graph
+	g.Reset(2 + L + N)
+	g.Grow(L + L*N + N)
+	ws.asgIDs = growIDs(ws.asgIDs, L*N)
+	for l := 0; l < L; l++ {
+		supply := p.Requests[l].Volume * p.CUnit
+		totalSupply += supply
+		if _, err := g.AddEdge(src, reqNode(l), supply, 0); err != nil {
+			return 0, false, err
 		}
+		k := p.Requests[l].Service
 		for i := 0; i < N; i++ {
-			if err := g.SetEdge(ws.sinkIDs[i], p.CapacityMHz[i], 0); err != nil {
-				return nil, 0, false, err
-			}
-		}
-	} else {
-		if g == nil {
-			g = flow.NewGraph(2 + L + N)
-			ws.graph = g
-		} else {
-			g.Reset(2 + L + N)
-		}
-		g.Grow(L + L*N + N)
-		ws.srcIDs = growIDs(ws.srcIDs, L)
-		ws.asgIDs = growIDs(ws.asgIDs, L*N)
-		ws.sinkIDs = growIDs(ws.sinkIDs, N)
-		for l := 0; l < L; l++ {
-			supply := p.Requests[l].Volume * p.CUnit
-			totalSupply += supply
-			id, err := g.AddEdge(src, reqNode(l), supply, 0)
+			// Cost per compute unit so a full assignment costs
+			// AssignCost + amortised instantiation.
+			perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][k]) / supply
+			id, err := g.AddEdge(reqNode(l), bsNode(i), supply, perUnit)
 			if err != nil {
-				return nil, 0, false, err
+				return 0, false, err
 			}
-			ws.srcIDs[l] = id
-			k := p.Requests[l].Service
-			for i := 0; i < N; i++ {
-				// Cost per compute unit so a full assignment costs
-				// AssignCost + amortised instantiation.
-				perUnit := (p.AssignCost(l, i) + p.InstDelayMS[i][k]) / supply
-				id, err := g.AddEdge(reqNode(l), bsNode(i), supply, perUnit)
-				if err != nil {
-					return nil, 0, false, err
-				}
-				ws.asgIDs[l*N+i] = id
-			}
+			ws.asgIDs[l*N+i] = id
 		}
-		for i := 0; i < N; i++ {
-			id, err := g.AddEdge(bsNode(i), sink, p.CapacityMHz[i], 0)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			ws.sinkIDs[i] = id
-		}
-		ws.graphL, ws.graphN = L, N
 	}
-	return g, totalSupply, reused, nil
+	for i := 0; i < N; i++ {
+		if _, err := g.AddEdge(bsNode(i), sink, p.CapacityMHz[i], 0); err != nil {
+			return 0, false, err
+		}
+	}
+	ws.graphL, ws.graphN = L, N
+	return totalSupply, reused, nil
 }
 
 // extractFlow lifts the graph's carried flow into X (fraction of request l at
@@ -770,61 +720,11 @@ func (p *Problem) extractFlow(ws *Workspace, frac *Fractional) {
 	}
 }
 
-// SolveLPLadderWS is the graceful-degradation solve path: it runs the same
-// size dispatch as SolveLPWS, and when the chosen backend fails — iteration
-// budget exhausted (ErrIterLimit), an infeasible slot (a fault zeroed too much
-// capacity), numerical trouble — it descends the ladder instead of failing:
-//
-//	LP-exact (simplex)  →  min-cost-flow  →  greedy one-hot assignment
-//
-// The greedy rung always succeeds, so a nil error is guaranteed for any
-// structurally valid problem; only Validate errors (programmer mistakes, not
-// solver conditions) still propagate. The descent is recorded in
-// Stats.Fallbacks and Stats.IterLimited so degraded slots are observable.
-func (p *Problem) SolveLPLadderWS(ws *Workspace) (*Fractional, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	exactScale := len(p.Requests)*p.NumStations <= _exactVarLimit
-	primary := SolverFlow
-	if exactScale {
-		primary = SolverSimplex
-	}
-	frac, err := p.SolveLPWS(ws)
-	if err == nil {
-		frac.Stats.Attempts = []SolverKind{primary}
-		return frac, nil
-	}
-	attempts := []SolverKind{primary}
-	fallbacks := 1
-	iterLimited := errors.Is(err, ErrIterLimit)
-	// The flow rung only adds anything when the primary backend was the exact
-	// simplex; at flow scale the primary attempt already was the flow solver.
-	if exactScale {
-		attempts = append(attempts, SolverFlow)
-		if frac, err = p.SolveLPFlowWS(ws); err == nil {
-			frac.Stats.Fallbacks = fallbacks
-			frac.Stats.IterLimited = iterLimited
-			frac.Stats.Attempts = attempts
-			return frac, nil
-		}
-		fallbacks++
-	}
-	frac = p.solveGreedyWS(ws)
-	frac.Stats.Fallbacks = fallbacks
-	frac.Stats.IterLimited = iterLimited
-	frac.Stats.Attempts = append(attempts, SolverGreedy)
-	return frac, nil
-}
-
-// solveGreedyWS is the ladder's greedy rung: the largest-first GreedyAssign
+// solveGreedy is the ladder's greedy rung: the largest-first GreedyAssign
 // written out as a one-hot "fractional". It cannot fail: every request gets a
 // station, capacity violations are accepted and priced by Evaluate's overload
 // model rather than rejected.
-func (p *Problem) solveGreedyWS(ws *Workspace) *Fractional {
-	if ws == nil {
-		ws = NewWorkspace()
-	}
+func (p *Problem) solveGreedy(ws *Workspace) *Fractional {
 	// Greedy results are not LP optima, so they must never feed an
 	// incremental skip or warm start on a later slot.
 	ws.prevKind = ""

@@ -26,7 +26,7 @@ func smallProblem() *Problem {
 
 func TestSolveLPExactPrefersFastStation(t *testing.T) {
 	p := smallProblem()
-	f, err := p.SolveLPExactWS(NewWorkspace())
+	f, err := p.solveExact(NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSolveLPExactRespectsCapacity(t *testing.T) {
 	p := smallProblem()
 	// Station 0 can now hold only request 0 (2 units * 10 = 20 MHz).
 	p.CapacityMHz = []float64{20, 1000}
-	f, err := p.SolveLPExactWS(NewWorkspace())
+	f, err := p.solveExact(NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestSolveLPFlowMatchesExactOnEasyInstances(t *testing.T) {
 				p.InstDelayMS[i][k] = 2 + rng.Float64()*10
 			}
 		}
-		exact, err := p.SolveLPExactWS(NewWorkspace())
+		exact, err := p.solveExact(NewWorkspace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		flowSol, err := p.SolveLPFlowWS(NewWorkspace())
+		flowSol, err := p.solveFlow(NewWorkspace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,11 @@ func TestSolveLPFlowUpperBoundsExact(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		L, N, K := 6, 4, 2
 		p := randomProblem(rng, L, N, K)
-		exact, err := p.SolveLPExactWS(NewWorkspace())
+		exact, err := p.solveExact(NewWorkspace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fl, err := p.SolveLPFlowWS(NewWorkspace())
+		fl, err := p.solveFlow(NewWorkspace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestAccessLatencyInCost(t *testing.T) {
 	}
 	// LP avoids the remote station despite equal processing delay.
 	p.UnitDelayMS = []float64{10, 10}
-	f, err := p.SolveLPExactWS(NewWorkspace())
+	f, err := p.solveExact(NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,10 +277,10 @@ func TestValidateRejectsBadProblems(t *testing.T) {
 func TestSolveLPInfeasibleCapacity(t *testing.T) {
 	p := smallProblem()
 	p.CapacityMHz = []float64{10, 10} // total demand 50 MHz > 20
-	if _, err := p.SolveLPExactWS(NewWorkspace()); err == nil {
+	if _, err := p.solveExact(NewWorkspace()); err == nil {
 		t.Error("infeasible exact LP accepted")
 	}
-	if _, err := p.SolveLPFlowWS(NewWorkspace()); err == nil {
+	if _, err := p.solveFlow(NewWorkspace()); err == nil {
 		t.Error("infeasible flow LP accepted")
 	}
 }
@@ -291,7 +291,7 @@ func TestPropertyLPSolutionsAreDistributions(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 3+rng.Intn(5), 2+rng.Intn(4), 1+rng.Intn(3))
-		for _, solve := range []func(*Workspace) (*Fractional, error){p.SolveLPExactWS, p.SolveLPFlowWS} {
+		for _, solve := range []func(*Workspace) (*Fractional, error){p.solveExact, p.solveFlow} {
 			f, err := solve(NewWorkspace())
 			if err != nil {
 				return false
@@ -330,7 +330,7 @@ func TestPropertyCandidateSetsNeverEmpty(t *testing.T) {
 	f := func(seed int64, gammaByte uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 4, 3, 2)
-		fr, err := p.SolveLPWS(NewWorkspace())
+		fr, err := p.Solve(NewWorkspace())
 		if err != nil {
 			return false
 		}
@@ -352,7 +352,7 @@ func BenchmarkSolveLPFlowLarge(b *testing.B) {
 	p := randomProblem(rng, 100, 100, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveLPFlowWS(NewWorkspace()); err != nil {
+		if _, err := p.solveFlow(NewWorkspace()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -363,7 +363,7 @@ func BenchmarkSolveLPExactSmall(b *testing.B) {
 	p := randomProblem(rng, 10, 8, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveLPExactWS(NewWorkspace()); err != nil {
+		if _, err := p.solveExact(NewWorkspace()); err != nil {
 			b.Fatal(err)
 		}
 	}

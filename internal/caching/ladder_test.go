@@ -9,11 +9,11 @@ import (
 
 func TestLadderPrimaryPathIsUntouched(t *testing.T) {
 	p := smallProblem()
-	direct, err := p.SolveLPWS(NewWorkspace())
+	direct, err := p.solveExact(NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder, err := p.SolveLPLadderWS(NewWorkspace())
+	ladder, err := p.Solve(NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSolveBudgetSurfacesErrIterLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomProblem(rng, 4, 4, 2)
 	p.SolveBudget = 1 // one pivot cannot even finish phase 1
-	_, err := p.SolveLPExactWS(NewWorkspace())
+	_, err := p.solveExact(NewWorkspace())
 	if err == nil {
 		t.Fatal("1-pivot budget solved the LP")
 	}
@@ -47,7 +47,7 @@ func TestLadderFallsBackOnBudgetExhaustion(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := randomProblem(rng, 4, 4, 2)
 	p.SolveBudget = 1
-	f, err := p.SolveLPLadderWS(NewWorkspace())
+	f, err := p.Solve(NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestLadderSurvivesTotalBlackout(t *testing.T) {
 	for i := range p.CapacityMHz {
 		p.CapacityMHz[i] = 0 // every station down: LP and flow both infeasible
 	}
-	f, err := p.SolveLPLadderWS(NewWorkspace())
+	f, err := p.Solve(NewWorkspace())
 	if err != nil {
 		t.Fatalf("ladder aborted on blackout: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestEvaluatePricesZeroCapacityStations(t *testing.T) {
 func TestNegativeSolveBudgetRejected(t *testing.T) {
 	p := smallProblem()
 	p.SolveBudget = -1
-	if _, err := p.SolveLPWS(NewWorkspace()); err == nil {
+	if _, err := p.Solve(NewWorkspace()); err == nil {
 		t.Fatal("negative SolveBudget accepted")
 	}
 }

@@ -85,7 +85,7 @@ func TestGreedyAssignExact(t *testing.T) {
 func TestGreedyRungIsTheLargestFirstPlacer(t *testing.T) {
 	p := placementProblem([]float64{3, 2, 2, 2}, []float64{0, 50, 30}, []float64{1, 5, 10})
 	a, _ := p.GreedyAssign(p.LargestFirst())
-	f := p.solveGreedyWS(nil)
+	f := p.solveGreedy(NewWorkspace())
 	if got := f.Round(); !reflect.DeepEqual(got.BS, a.BS) {
 		t.Fatalf("greedy rung placed %v, placer %v", got.BS, a.BS)
 	}

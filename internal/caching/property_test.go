@@ -133,6 +133,20 @@ func stationLoads(p *Problem, f *Fractional) []float64 {
 	return load
 }
 
+// checkLadderBookkeeping checks that Stats.Fallbacks counts exactly the
+// ladder rungs above Stats.Solver: exact, flow, greedy below the size-dispatch
+// limit; flow, greedy above it.
+func checkLadderBookkeeping(t *testing.T, p *Problem, st SolveStats, seed int64) {
+	t.Helper()
+	rungs := []SolverKind{SolverFlow, SolverGreedy}
+	if len(p.Requests)*p.NumStations <= _exactVarLimit {
+		rungs = append([]SolverKind{SolverSimplex}, rungs...)
+	}
+	if st.Fallbacks < 0 || st.Fallbacks >= len(rungs) || rungs[st.Fallbacks] != st.Solver {
+		t.Fatalf("seed %d: solver %s after %d fallbacks on ladder %v", seed, st.Solver, st.Fallbacks, rungs)
+	}
+}
+
 func checkCapacities(t *testing.T, p *Problem, f *Fractional, who string) {
 	t.Helper()
 	for i, u := range stationLoads(p, f) {
@@ -147,13 +161,13 @@ func checkCapacities(t *testing.T, p *Problem, f *Fractional, who string) {
 // random LP-feasible instances: each must satisfy the assignment, coupling,
 // and capacity constraints, the flow objective must stay an upper bound on
 // the exact LP within the amortisation error bound, and the size dispatch of
-// SolveLPWS must pick the documented backend.
+// Solve must pick the documented backend.
 func TestPropertyFeasibleBackendsAgree(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randProblem(rng, true)
 
-		exact, err := p.SolveLPExactWS(NewWorkspace())
+		exact, err := p.solveExact(NewWorkspace())
 		if err != nil {
 			t.Fatalf("seed %d: exact on feasible instance: %v", seed, err)
 		}
@@ -166,7 +180,7 @@ func TestPropertyFeasibleBackendsAgree(t *testing.T) {
 			t.Fatalf("seed %d: exact objective %v but recomputed %v", seed, exact.Objective, re)
 		}
 
-		fl, err := p.SolveLPFlowWS(NewWorkspace())
+		fl, err := p.solveFlow(NewWorkspace())
 		if err != nil {
 			t.Fatalf("seed %d: flow on feasible instance: %v", seed, err)
 		}
@@ -195,9 +209,9 @@ func TestPropertyFeasibleBackendsAgree(t *testing.T) {
 		}
 
 		// Size dispatch: small instances take the simplex, large the flow.
-		dispatched, err := p.SolveLPWS(NewWorkspace())
+		dispatched, err := p.Solve(NewWorkspace())
 		if err != nil {
-			t.Fatalf("seed %d: SolveLPWS: %v", seed, err)
+			t.Fatalf("seed %d: Solve: %v", seed, err)
 		}
 		wantSolver := SolverFlow
 		if len(p.Requests)*p.NumStations <= _exactVarLimit {
@@ -213,7 +227,7 @@ func TestPropertyFeasibleBackendsAgree(t *testing.T) {
 // TestPropertyLadderNeverFails throws ~200 random instances — over-subscribed,
 // fault-zeroed, total-blackout — at the degradation ladder: it must NEVER
 // return an error, NaN, or a partially-assigned request, and its bookkeeping
-// (Attempts, Fallbacks, Solver) must be consistent. A clean ladder solve must
+// (Fallbacks, Solver) must be consistent. A clean ladder solve must
 // also respect capacities; only the greedy shed rung may exceed them.
 func TestPropertyLadderNeverFails(t *testing.T) {
 	sawFallback := false
@@ -221,22 +235,12 @@ func TestPropertyLadderNeverFails(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randProblem(rng, false)
 
-		f, err := p.SolveLPLadderWS(NewWorkspace())
+		f, err := p.Solve(NewWorkspace())
 		if err != nil {
 			t.Fatalf("seed %d: ladder failed: %v", seed, err)
 		}
 		checkSolutionShape(t, p, f, "ladder")
-
-		if len(f.Stats.Attempts) == 0 {
-			t.Fatalf("seed %d: no attempts recorded", seed)
-		}
-		if got := f.Stats.Attempts[len(f.Stats.Attempts)-1]; got != f.Stats.Solver {
-			t.Fatalf("seed %d: last attempt %s but solver %s", seed, got, f.Stats.Solver)
-		}
-		if f.Stats.Fallbacks != len(f.Stats.Attempts)-1 {
-			t.Fatalf("seed %d: %d fallbacks over %d attempts",
-				seed, f.Stats.Fallbacks, len(f.Stats.Attempts))
-		}
+		checkLadderBookkeeping(t, p, f.Stats, seed)
 		if f.Stats.Fallbacks == 0 {
 			checkCapacities(t, p, f, "ladder")
 		} else {
@@ -315,7 +319,7 @@ func TestPropertyIncrementalDriftAgreesWithCold(t *testing.T) {
 				}
 			}
 
-			inc, err := p.SolveLPWS(ws)
+			inc, err := p.Solve(ws)
 			if err != nil {
 				t.Fatalf("seed %d step %d: incremental: %v", seed, step, err)
 			}
@@ -326,13 +330,13 @@ func TestPropertyIncrementalDriftAgreesWithCold(t *testing.T) {
 						seed, step, i, u, p.CapacityMHz[i])
 				}
 			}
-			cold, err := p.SolveLPWS(NewWorkspace())
+			cold, err := p.Solve(NewWorkspace())
 			if err != nil {
 				t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
 			}
 			if math.Abs(inc.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
-				t.Fatalf("seed %d step %d (%s, warm=%v skip=%q): objective %v incremental vs %v cold",
-					seed, step, inc.Stats.Solver, inc.Stats.WarmStarted, inc.Stats.SkipReason,
+				t.Fatalf("seed %d step %d (%s, warm=%v skipped=%v): objective %v incremental vs %v cold",
+					seed, step, inc.Stats.Solver, inc.Stats.WarmStarted, inc.Stats.Skipped,
 					inc.Objective, cold.Objective)
 			}
 			if inc.Stats.WarmStarted {
@@ -357,11 +361,11 @@ func TestPropertyWorkspaceReuseBitIdentical(t *testing.T) {
 	for seed := int64(2000); seed < 2050; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randProblem(rng, true)
-		fresh, err := p.SolveLPWS(NewWorkspace())
+		fresh, err := p.Solve(NewWorkspace())
 		if err != nil {
 			t.Fatalf("seed %d: fresh: %v", seed, err)
 		}
-		reused, err := p.SolveLPWS(ws)
+		reused, err := p.Solve(ws)
 		if err != nil {
 			t.Fatalf("seed %d: workspace: %v", seed, err)
 		}

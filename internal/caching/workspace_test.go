@@ -47,11 +47,11 @@ func TestSolveLPExactWSBitIdenticalAcrossSlots(t *testing.T) {
 		if slot > 0 {
 			driftDelays(rng, p)
 		}
-		want, err := p.SolveLPExactWS(nil)
+		want, err := p.solveExact(NewWorkspace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.SolveLPExactWS(ws)
+		got, err := p.solveExact(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,12 +74,12 @@ func TestSolveLPFlowWSBitIdenticalAcrossSlots(t *testing.T) {
 		if slot > 0 {
 			driftDelays(rng, p)
 		}
-		want, err := p.SolveLPFlowWS(nil)
+		want, err := p.solveFlow(NewWorkspace())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ws.ResetWarm()
-		got, err := p.SolveLPFlowWS(ws)
+		got, err := p.solveFlow(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,11 +102,11 @@ func TestWorkspaceRebuildsOnShapeChange(t *testing.T) {
 	shapes := [][3]int{{5, 3, 2}, {7, 4, 3}, {5, 3, 2}, {5, 3, 3}}
 	for si, sh := range shapes {
 		p := randomProblem(rng, sh[0], sh[1], sh[2])
-		want, err := p.SolveLPWS(nil)
+		want, err := p.Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.SolveLPWS(ws)
+		got, err := p.Solve(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,15 +131,15 @@ func TestSolveLPExactWSServicePatternChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	p := randomProblem(rng, 6, 4, 3)
 	ws := NewWorkspace()
-	if _, err := p.SolveLPExactWS(ws); err != nil {
+	if _, err := p.solveExact(ws); err != nil {
 		t.Fatal(err)
 	}
 	p.Requests[2].Service = (p.Requests[2].Service + 1) % p.NumServices
-	want, err := p.SolveLPExactWS(nil)
+	want, err := p.solveExact(NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.SolveLPExactWS(ws)
+	got, err := p.solveExact(ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,16 +141,6 @@ func NewSchedule(numStations int, injs ...Injector) (*Schedule, error) {
 // NumStations reports the station count the schedule was built for.
 func (s *Schedule) NumStations() int { return s.n }
 
-// InjectorList returns the composed injectors themselves, in application
-// order (for callers that rebuild a schedule with extra injectors, e.g. the
-// simulator's legacy failure-config shim).
-func (s *Schedule) InjectorList() []Injector {
-	if s == nil {
-		return nil
-	}
-	return append([]Injector(nil), s.injs...)
-}
-
 // Reset rewinds every injector to its initial seeded state. The simulator
 // calls it at the start of each run so two policies compared over the same
 // schedule face an identical fault sequence.
@@ -185,8 +175,7 @@ func downCap(e *Effect, i int, factor float64) {
 	}
 }
 
-// StationOutage is the i.i.d. Bernoulli station-crash model (the legacy
-// sim.Config.FailureRate behaviour, now expressed as an injector): each
+// StationOutage is the i.i.d. Bernoulli station-crash model: each
 // healthy station fails independently with Rate per slot and stays down —
 // capacity zero — for DownSlots slots.
 type StationOutage struct {

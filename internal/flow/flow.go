@@ -1,9 +1,11 @@
 // Package flow solves min-cost flow problems on the transportation-structured
 // LP relaxation of the service-caching problem at experiment scale, where the
 // dense simplex in internal/lp would be too slow. Its one solver is the primal
-// network simplex (simplex.go): its spanning-tree basis is carried in a
-// Workspace from one solve to the next, so a drifting per-slot instance
-// re-optimises in a few pivots. Tests judge it against the successive-
+// network simplex (simplex.go), reached through one method, Graph.MinCostFlow:
+// the spanning-tree basis is carried in a Workspace from one solve to the
+// next, so a drifting per-slot instance — rebuilt with Reset and AddEdge in
+// the same edge order — re-optimises in a few pivots. Workspace.ResetBasis
+// makes the next solve cold. Tests judge it against the successive-
 // shortest-paths referee in internal/flow/flowref.
 package flow
 
@@ -34,7 +36,8 @@ func NewGraph(n int) *Graph {
 }
 
 // Reset empties the graph and resizes it to n nodes, keeping the edge
-// storage for reuse. Edge handles from before the Reset are invalid.
+// storage for reuse. Handles are positional, so edges re-added in the same
+// order get the same handles (and a warm MinCostFlow the same topology).
 func (g *Graph) Reset(n int) {
 	g.edges = g.edges[:0]
 	g.n = n
@@ -61,38 +64,15 @@ func (g *Graph) Grow(m int) {
 	g.edges = slices.Grow(g.edges, 2*m)
 }
 
-// SetEdge rewrites the capacity and cost of an existing edge handle in place,
-// zeroing any flow it carried. Endpoints are unchanged — this is the per-slot
-// fast path when only costs and capacities move between solves.
-func (g *Graph) SetEdge(id int, capacity, cost float64) error {
-	if id < 0 || id >= len(g.edges) || id%2 != 0 {
-		return fmt.Errorf("flow: invalid edge handle %d", id)
-	}
-	if capacity < 0 || math.IsNaN(capacity) || math.IsNaN(cost) || math.IsInf(cost, 0) {
-		return fmt.Errorf("flow: invalid capacity %v or cost %v", capacity, cost)
-	}
-	g.edges[id].cap = capacity
-	g.edges[id].cost = cost
-	g.edges[id].flow = 0
-	g.edges[id^1].cap = 0
-	g.edges[id^1].cost = -cost
-	g.edges[id^1].flow = 0
-	return nil
-}
-
 // Flow returns the flow currently carried by edge handle id.
 func (g *Graph) Flow(id int) float64 { return g.edges[id].flow }
-
-// Cost returns the per-unit cost currently set on edge handle id. Callers use
-// it to measure drift against a previous slot without shadowing edge state.
-func (g *Graph) Cost(id int) float64 { return g.edges[id].cost }
 
 // Result summarises a min-cost flow computation.
 type Result struct {
 	Flow float64
 	Cost float64
-	// WarmStarted reports whether MinCostFlowSimplexWarmWS reused the
-	// spanning-tree basis carried in the Workspace from a previous solve.
+	// WarmStarted reports whether MinCostFlow reused the spanning-tree basis
+	// carried in the Workspace from a previous solve.
 	WarmStarted bool
 	// Pivots counts network-simplex basis exchanges — the solver's unit of
 	// work. It includes any pivots spent on a warm attempt that was later abandoned.

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -32,17 +33,29 @@ func buildTransport(t *testing.T, supply, caps []float64, costs [][]float64) *tr
 		costs:  costs,
 		source: 0, sinkID: 1 + l + n,
 	}
-	for i := 0; i < l; i++ {
-		tg.src[i] = mustEdge(t, tg.g, 0, 1+i, supply[i], 0)
+	for i := range tg.asg {
 		tg.asg[i] = make([]int, n)
-		for j := 0; j < n; j++ {
-			tg.asg[i][j] = mustEdge(t, tg.g, 1+i, 1+l+j, supply[i], costs[i][j])
+	}
+	tg.rewrite(t)
+	return tg
+}
+
+// rewrite empties the graph and re-wires every edge from the spec's current
+// supplies, capacities and costs — the per-slot rebuild a caller performs
+// before a warm re-solve. Edges go in in the same order every time, so the
+// handles, and the topology a carried basis was built over, stay the same.
+func (tg *transportGraph) rewrite(t *testing.T) {
+	t.Helper()
+	tg.g.Reset(2 + tg.l + tg.n)
+	for i := 0; i < tg.l; i++ {
+		tg.src[i] = mustEdge(t, tg.g, 0, 1+i, tg.supply[i], 0)
+		for j := 0; j < tg.n; j++ {
+			tg.asg[i][j] = mustEdge(t, tg.g, 1+i, 1+tg.l+j, tg.supply[i], tg.costs[i][j])
 		}
 	}
-	for j := 0; j < n; j++ {
-		tg.sink[j] = mustEdge(t, tg.g, 1+l+j, tg.sinkID, caps[j], 0)
+	for j := 0; j < tg.n; j++ {
+		tg.sink[j] = mustEdge(t, tg.g, 1+tg.l+j, tg.sinkID, tg.caps[j], 0)
 	}
-	return tg
 }
 
 func (tg *transportGraph) total() float64 {
@@ -65,28 +78,6 @@ func coldCost(t *testing.T, tg *transportGraph) float64 {
 	return res.Cost
 }
 
-// rewrite re-applies the spec's current supplies, capacities and costs to
-// every edge in place (SetEdge), the per-slot rewrite a caller performs
-// before a warm re-solve.
-func (tg *transportGraph) rewrite(t *testing.T) {
-	t.Helper()
-	for i := 0; i < tg.l; i++ {
-		if err := tg.g.SetEdge(tg.src[i], tg.supply[i], 0); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < tg.n; j++ {
-			if err := tg.g.SetEdge(tg.asg[i][j], tg.supply[i], tg.costs[i][j]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for j := 0; j < tg.n; j++ {
-		if err := tg.g.SetEdge(tg.sink[j], tg.caps[j], 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestResumeQuietSlotDoesNoWork resumes the network simplex from its carried
 // basis on an unchanged instance: the basis is still optimal, so the warm
 // solve must reuse it, take zero pivots, and land on the same cost.
@@ -95,12 +86,12 @@ func TestResumeQuietSlotDoesNoWork(t *testing.T) {
 		[]float64{3, 4}, []float64{10, 10},
 		[][]float64{{1, 2}, {2, 1}})
 	ws := NewWorkspace()
-	cold, err := tg.g.MinCostFlowSimplexWS(tg.source, tg.sinkID, tg.total(), ws)
+	cold, err := tg.g.MinCostFlow(tg.source, tg.sinkID, tg.total(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tg.rewrite(t)
-	res, err := tg.g.MinCostFlowSimplexWarmWS(tg.source, tg.sinkID, tg.total(), ws)
+	res, err := tg.g.MinCostFlow(tg.source, tg.sinkID, tg.total(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,25 +117,25 @@ func TestResumeCancelsNegativeResidualCycle(t *testing.T) {
 	const (
 		src, r, a, b, snk = 0, 1, 2, 3, 4
 	)
-	mustEdge(t, g, src, r, 1, 0)
-	ra := mustEdge(t, g, r, a, 1, 1)
-	at := mustEdge(t, g, a, snk, 1, 1)
-	rb := mustEdge(t, g, r, b, 1, 10)
-	bt := mustEdge(t, g, b, snk, 1, 10)
+	var ra, at, rb, bt int
+	wire := func(bCost float64) {
+		g.Reset(5)
+		mustEdge(t, g, src, r, 1, 0)
+		ra = mustEdge(t, g, r, a, 1, 1)
+		at = mustEdge(t, g, a, snk, 1, 1)
+		rb = mustEdge(t, g, r, b, 1, bCost)
+		bt = mustEdge(t, g, b, snk, 1, bCost)
+	}
+	wire(10)
 	ws := NewWorkspace()
-	if _, err := g.MinCostFlowSimplexWS(src, snk, 1, ws); err != nil {
+	if _, err := g.MinCostFlow(src, snk, 1, ws); err != nil {
 		t.Fatal(err)
 	}
 	if g.Flow(ra) != 1 || g.Flow(at) != 1 {
 		t.Fatalf("cold solve did not route through A: ra=%v at=%v", g.Flow(ra), g.Flow(at))
 	}
-	if err := g.SetEdge(rb, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetEdge(bt, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := g.MinCostFlowSimplexWarmWS(src, snk, 1, ws)
+	wire(0)
+	res, err := g.MinCostFlow(src, snk, 1, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +160,12 @@ func TestResumeRepairsPotentialsAfterEviction(t *testing.T) {
 		[]float64{5, 5}, []float64{6, 6},
 		[][]float64{{1, 4}, {1, 4}})
 	ws := NewWorkspace()
-	if _, err := tg.g.MinCostFlowSimplexWS(tg.source, tg.sinkID, tg.total(), ws); err != nil {
+	if _, err := tg.g.MinCostFlow(tg.source, tg.sinkID, tg.total(), ws); err != nil {
 		t.Fatal(err)
 	}
 	tg.supply[0] = 2
 	tg.rewrite(t)
-	res, err := tg.g.MinCostFlowSimplexWarmWS(tg.source, tg.sinkID, tg.total(), ws)
+	res, err := tg.g.MinCostFlow(tg.source, tg.sinkID, tg.total(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,4 +177,32 @@ func TestResumeRepairsPotentialsAfterEviction(t *testing.T) {
 		t.Fatalf("resumed cost %v, cold cost %v", res.Cost, want)
 	}
 	checkFlowInvariants(t, tg.g, tg.source, tg.sinkID, "resumed simplex")
+}
+
+// TestResumeInfeasibleReportsDisconnected re-solves a path 0 -> 2 -> 3 warm
+// for more than its bottleneck carries. The carried tree cannot carry the new
+// supply, so the basis is re-crashed from the carried bounds, which hangs node
+// 2 below the root by an artificial arc; the shortfall then settles on that
+// arc while t is fully served. The warm solve must still report
+// ErrDisconnected, as a cold solve does, for both cost signs.
+func TestResumeInfeasibleReportsDisconnected(t *testing.T) {
+	for _, cost := range []float64{-2, 1} {
+		g := NewGraph(4)
+		mustEdge(t, g, 0, 2, 2, cost)
+		mustEdge(t, g, 2, 3, 7, cost)
+		ws := NewWorkspace()
+		if _, err := g.MinCostFlow(0, 3, 0.5, ws); err != nil {
+			t.Fatalf("cost %v: feasible cold solve: %v", cost, err)
+		}
+		res, err := g.MinCostFlow(0, 3, 4.5, ws)
+		if !res.WarmStarted {
+			t.Fatalf("cost %v: re-solve did not start from the carried basis", cost)
+		}
+		if !errors.Is(err, ErrDisconnected) {
+			t.Errorf("cost %v: warm re-solve for 4.5 over a bottleneck of 2 returned %v, want ErrDisconnected", cost, err)
+		}
+		if _, err := g.MinCostFlow(0, 3, 4.5, nil); !errors.Is(err, ErrDisconnected) {
+			t.Fatalf("cost %v: cold solve returned %v, want ErrDisconnected", cost, err)
+		}
+	}
 }

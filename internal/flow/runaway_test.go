@@ -60,7 +60,7 @@ func TestSSPSettlesEachNodeOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spx, err := g.MinCostFlowSimplexWS(s, snk, want, NewWorkspace())
+	spx, err := g.MinCostFlow(s, snk, want, NewWorkspace())
 	if err != nil {
 		t.Fatal(err)
 	}

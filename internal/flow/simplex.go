@@ -76,36 +76,29 @@ type spxRun struct {
 	bland  bool // Bland's-rule mode (anti-stalling fallback)
 }
 
-// MinCostFlowSimplexWS sends exactly want units from s to t at minimum cost
-// using the primal network simplex, always building a fresh basis (the cold
-// path: deterministic regardless of workspace history). The solved basis is
-// left in the workspace for MinCostFlowSimplexWarmWS to reuse. Flows are
-// written back onto the graph's edges, where Flow(id) reads them. If want
-// cannot be fully routed the routable part is still solved at minimum cost
-// and ErrDisconnected returned. want must be finite (there is no max-flow
-// mode), and graphs containing a negative-cost cycle are solved to the true
-// bounded optimum (the cycle saturates) rather than rejected. A nil ws
-// solves on a throwaway workspace.
-func (g *Graph) MinCostFlowSimplexWS(s, t int, want float64, ws *Workspace) (Result, error) {
-	return g.simplexSolve(s, t, want, ws, false)
-}
-
-// MinCostFlowSimplexWarmWS is MinCostFlowSimplexWS but re-uses the basis left
-// by a previous simplex solve on this workspace when the graph shape still
-// matches: nonbasic arcs snap back to their bounds, tree-arc flows are
-// recomputed from the new supplies by a children-first sweep of the thread
-// order, potentials are re-priced, and pivoting resumes from there. When the
-// carried tree cannot carry the new supplies within capacity, the basis is
-// re-crashed as an artificial star seeded from the carried nonbasic bounds —
-// still a warm start (Result.WarmStarted), but counted as a rebuild
-// (Result.BasisRebuilt). Only a genuine mismatch — different topology or
-// endpoints — or a warm pivot budget blow-up falls all the way back to the
-// cold all-at-lower build.
-func (g *Graph) MinCostFlowSimplexWarmWS(s, t int, want float64, ws *Workspace) (Result, error) {
-	return g.simplexSolve(s, t, want, ws, true)
-}
-
-func (g *Graph) simplexSolve(s, t int, want float64, ws *Workspace, warm bool) (Result, error) {
+// MinCostFlow sends exactly want units from s to t at minimum cost using the
+// primal network simplex. Flows are written back onto the graph's edges,
+// where Flow(id) reads them, and the solved basis is left in the workspace.
+//
+// When the workspace carries a basis from a previous solve over the same
+// topology and terminals, the solve warm-starts from it (Result.WarmStarted):
+// nonbasic arcs snap back to their bounds, tree-arc flows are recomputed from
+// the new supplies by a children-first sweep of the thread order, potentials
+// are re-priced, and pivoting resumes from there. When the carried tree
+// cannot carry the new supplies within capacity, the basis is re-crashed as
+// an artificial star seeded from the carried nonbasic bounds — still a warm
+// start, but counted as a rebuild (Result.BasisRebuilt). A carried basis of a
+// different topology or terminals, or a warm pivot-budget blow-up, falls back
+// to the cold all-at-lower build. With no carried basis — a nil or fresh ws,
+// or one after ResetBasis — the solve is cold and deterministic regardless of
+// workspace history.
+//
+// If want cannot be fully routed, ErrDisconnected is returned. A cold solve
+// then still carries the routable part at minimum cost; a warm one may leave
+// flows that do not conserve at interior nodes. want must be finite (there is
+// no max-flow mode), and graphs containing a negative-cost cycle are solved
+// to the true bounded optimum (the cycle saturates) rather than rejected.
+func (g *Graph) MinCostFlow(s, t int, want float64, ws *Workspace) (Result, error) {
 	if s < 0 || s >= g.n || t < 0 || t >= g.n {
 		return Result{}, fmt.Errorf("flow: source %d or sink %d out of range", s, t)
 	}
@@ -129,7 +122,7 @@ func (g *Graph) simplexSolve(s, t int, want float64, ws *Workspace, warm bool) (
 	var res Result
 
 	solved := false
-	if warm && b.have && b.n == g.n+1 && b.m == len(g.edges)/2 &&
+	if b.have && b.n == g.n+1 && b.m == len(g.edges)/2 &&
 		b.s == s && b.t == t && b.sameTopology(g) {
 		b.refreshArcs(g)
 		// Cheapest restart first: keep the whole tree if it can carry the new
@@ -182,6 +175,17 @@ func (g *Graph) simplexSolve(s, t int, want float64, ws *Workspace, warm bool) (
 	b.have = true
 	if res.Flow < want-1e-6 {
 		return res, ErrDisconnected
+	}
+	// A cold build points every other artificial arc at the root, so t's arc
+	// alone tells. A warm start orients each by the carried imbalance at its
+	// node, and the shortfall can then sit on any of them (for example
+	// feeding an interior node from the root while t is fully served).
+	if res.WarmStarted {
+		for a := b.m; a < b.numArcs(); a++ {
+			if b.flow[a] > 1e-6 {
+				return res, ErrDisconnected
+			}
+		}
 	}
 	return res, nil
 }

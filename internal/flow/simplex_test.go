@@ -84,7 +84,7 @@ func randTransportSpec(seed int64) (supply, caps []float64, costs [][]float64) {
 func TestSimplexSingleEdge(t *testing.T) {
 	g := NewGraph(2)
 	id := mustEdge(t, g, 0, 1, 5, 3)
-	res, err := g.MinCostFlowSimplexWS(0, 1, 4, nil)
+	res, err := g.MinCostFlow(0, 1, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSimplexChoosesCheaperPath(t *testing.T) {
 	mustEdge(t, g, 1, 3, 10, 1)
 	mustEdge(t, g, 0, 2, 10, 5)
 	mustEdge(t, g, 2, 3, 10, 5)
-	res, err := g.MinCostFlowSimplexWS(0, 3, 6, nil)
+	res, err := g.MinCostFlow(0, 3, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSimplexDisconnected(t *testing.T) {
 	mustEdge(t, g, 0, 1, 5, 1)
 	// Node 2..3 unreachable from 0.
 	mustEdge(t, g, 2, 3, 5, 1)
-	res, err := g.MinCostFlowSimplexWS(0, 3, 3, nil)
+	res, err := g.MinCostFlow(0, 3, 3, nil)
 	if !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("err = %v, want ErrDisconnected", err)
 	}
@@ -135,7 +135,7 @@ func TestSimplexPartialRoutability(t *testing.T) {
 	g := NewGraph(3)
 	mustEdge(t, g, 0, 1, 3, 2)
 	mustEdge(t, g, 1, 2, 10, 1)
-	res, err := g.MinCostFlowSimplexWS(0, 2, 7, nil)
+	res, err := g.MinCostFlow(0, 2, 7, nil)
 	if !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("err = %v, want ErrDisconnected", err)
 	}
@@ -147,7 +147,7 @@ func TestSimplexPartialRoutability(t *testing.T) {
 func TestSimplexZeroWant(t *testing.T) {
 	g := NewGraph(2)
 	mustEdge(t, g, 0, 1, 5, 3)
-	res, err := g.MinCostFlowSimplexWS(0, 1, 0, nil)
+	res, err := g.MinCostFlow(0, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,19 +159,19 @@ func TestSimplexZeroWant(t *testing.T) {
 func TestSimplexInvalidInputs(t *testing.T) {
 	g := NewGraph(3)
 	mustEdge(t, g, 0, 1, 5, 1)
-	if _, err := g.MinCostFlowSimplexWS(0, 0, 1, nil); err == nil {
+	if _, err := g.MinCostFlow(0, 0, 1, nil); err == nil {
 		t.Error("accepted source == sink")
 	}
-	if _, err := g.MinCostFlowSimplexWS(-1, 1, 1, nil); err == nil {
+	if _, err := g.MinCostFlow(-1, 1, 1, nil); err == nil {
 		t.Error("accepted out-of-range source")
 	}
-	if _, err := g.MinCostFlowSimplexWS(0, 1, math.Inf(1), nil); err == nil {
+	if _, err := g.MinCostFlow(0, 1, math.Inf(1), nil); err == nil {
 		t.Error("accepted infinite want (max-flow is SSP's job)")
 	}
-	if _, err := g.MinCostFlowSimplexWS(0, 1, -2, nil); err == nil {
+	if _, err := g.MinCostFlow(0, 1, -2, nil); err == nil {
 		t.Error("accepted negative want")
 	}
-	if _, err := g.MinCostFlowSimplexWS(0, 1, math.NaN(), nil); err == nil {
+	if _, err := g.MinCostFlow(0, 1, math.NaN(), nil); err == nil {
 		t.Error("accepted NaN want")
 	}
 }
@@ -192,7 +192,7 @@ func TestSimplexNegativeCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.MinCostFlowSimplexWS(0, 3, 8, nil)
+	got, err := g.MinCostFlow(0, 3, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSimplexDifferential500(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: SSP on feasible want %v: %v", seed, want, err)
 			}
-			got, err := gSpx.MinCostFlowSimplexWS(s, snk, want, nil)
+			got, err := gSpx.MinCostFlow(s, snk, want, nil)
 			if err != nil {
 				t.Fatalf("seed %d: simplex on feasible want %v: %v", seed, want, err)
 			}
@@ -247,7 +247,7 @@ func TestSimplexDifferential500(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: SSP transport: %v", seed, err)
 			}
-			got, err := tgSpx.g.MinCostFlowSimplexWS(tgSpx.source, tgSpx.sinkID, tgSpx.total(), nil)
+			got, err := tgSpx.g.MinCostFlow(tgSpx.source, tgSpx.sinkID, tgSpx.total(), nil)
 			if err != nil {
 				t.Fatalf("seed %d: simplex transport: %v", seed, err)
 			}
@@ -268,7 +268,7 @@ func TestSimplexDifferentialInfeasible(t *testing.T) {
 		mf, _ := sspSolve(probe, s, snk, math.Inf(1))
 		want := mf.Flow + 3 // strictly above the max flow
 		gSpx, _, _ := randGeneral(seed)
-		res, err := gSpx.MinCostFlowSimplexWS(s, snk, want, nil)
+		res, err := gSpx.MinCostFlow(s, snk, want, nil)
 		if !errors.Is(err, ErrDisconnected) {
 			t.Fatalf("seed %d: err = %v on want %v > maxflow %v", seed, err, want, mf.Flow)
 		}
@@ -301,7 +301,7 @@ func TestSimplexDegenerateZeroCapacity(t *testing.T) {
 	}
 	mustEdge(t, g, 2, 3, 0, 0)
 	mustEdge(t, g, 3, 2, 0, 0)
-	res, err := g.MinCostFlowSimplexWS(0, 5, 4, nil)
+	res, err := g.MinCostFlow(0, 5, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestSimplexDegenerateParallelArcs(t *testing.T) {
 		mustEdge(t, g, 1, 2, 0, 3)
 		mustEdge(t, g, 2, 3, 0, 2)
 	}
-	res, err := g.MinCostFlowSimplexWS(0, 3, 8, nil)
+	res, err := g.MinCostFlow(0, 3, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestSimplexDegenerateRandomised(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: SSP: %v", seed, err)
 		}
-		got, err := build().MinCostFlowSimplexWS(0, n-1, mf.Flow, nil)
+		got, err := build().MinCostFlow(0, n-1, mf.Flow, nil)
 		if err != nil {
 			t.Fatalf("seed %d: simplex: %v", seed, err)
 		}
@@ -404,25 +404,20 @@ func TestSimplexWarmMatchesColdUnderDrift(t *testing.T) {
 		}
 		tg := buildTransport(t, supply, caps, costs)
 		ws := NewWorkspace()
-		if _, err := tg.g.MinCostFlowSimplexWS(tg.source, tg.sinkID, tg.total(), ws); err != nil {
+		if _, err := tg.g.MinCostFlow(tg.source, tg.sinkID, tg.total(), ws); err != nil {
 			t.Fatalf("seed %d: cold simplex: %v", seed, err)
 		}
 		for step := 0; step < 6; step++ {
 			for i := 0; i < tg.l; i++ {
 				if rng.Float64() < 0.3 {
 					tg.supply[i] = 1 + 9*rng.Float64()
-					if err := tg.g.SetEdge(tg.src[i], tg.supply[i], 0); err != nil {
-						t.Fatal(err)
-					}
 				}
 				for j := 0; j < tg.n; j++ {
 					tg.costs[i][j] = math.Max(0, tg.costs[i][j]+rng.NormFloat64())
-					if err := tg.g.SetEdge(tg.asg[i][j], tg.supply[i], tg.costs[i][j]); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
-			res, err := tg.g.MinCostFlowSimplexWarmWS(tg.source, tg.sinkID, tg.total(), ws)
+			tg.rewrite(t)
+			res, err := tg.g.MinCostFlow(tg.source, tg.sinkID, tg.total(), ws)
 			if err != nil {
 				t.Fatalf("seed %d step %d: warm simplex: %v", seed, step, err)
 			}
@@ -452,22 +447,14 @@ func TestSimplexWarmFewerPivotsThanCold(t *testing.T) {
 	supply, caps, costs := randTransportSpec(42)
 	tg := buildTransport(t, supply, caps, costs)
 	ws := NewWorkspace()
-	cold, err := tg.g.MinCostFlowSimplexWS(tg.source, tg.sinkID, tg.total(), ws)
+	cold, err := tg.g.MinCostFlow(tg.source, tg.sinkID, tg.total(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Nudge one cost: the carried basis should re-optimise almost instantly.
 	tg.costs[0][0] += 0.25
-	for i := 0; i < tg.l; i++ {
-		tg.g.SetEdge(tg.src[i], tg.supply[i], 0)
-		for j := 0; j < tg.n; j++ {
-			tg.g.SetEdge(tg.asg[i][j], tg.supply[i], tg.costs[i][j])
-		}
-	}
-	for j := 0; j < tg.n; j++ {
-		tg.g.SetEdge(tg.sink[j], tg.caps[j], 0)
-	}
-	warm, err := tg.g.MinCostFlowSimplexWarmWS(tg.source, tg.sinkID, tg.total(), ws)
+	tg.rewrite(t)
+	warm, err := tg.g.MinCostFlow(tg.source, tg.sinkID, tg.total(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,17 +468,17 @@ func TestSimplexWarmFewerPivotsThanCold(t *testing.T) {
 }
 
 // TestSimplexResetBasisForcesCold pins the checkpoint-barrier contract:
-// after ResetBasis, a warm call must rebuild from scratch and produce the
-// bit-identical result a cold call produces.
+// after ResetBasis, a solve on the same workspace must rebuild from scratch
+// and produce the bit-identical result a fresh-workspace solve produces.
 func TestSimplexResetBasisForcesCold(t *testing.T) {
 	supply, caps, costs := randTransportSpec(77)
 	tg := buildTransport(t, supply, caps, costs)
 	ws := NewWorkspace()
-	if _, err := tg.g.MinCostFlowSimplexWS(tg.source, tg.sinkID, tg.total(), ws); err != nil {
+	if _, err := tg.g.MinCostFlow(tg.source, tg.sinkID, tg.total(), ws); err != nil {
 		t.Fatal(err)
 	}
 	ws.ResetBasis()
-	warm, err := tg.g.MinCostFlowSimplexWarmWS(tg.source, tg.sinkID, tg.total(), ws)
+	warm, err := tg.g.MinCostFlow(tg.source, tg.sinkID, tg.total(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +486,7 @@ func TestSimplexResetBasisForcesCold(t *testing.T) {
 		t.Fatalf("post-reset solve flags: warm=%v rebuilt=%v, want cold", warm.WarmStarted, warm.BasisRebuilt)
 	}
 	ref := buildTransport(t, supply, caps, costs)
-	cold, err := ref.g.MinCostFlowSimplexWS(ref.source, ref.sinkID, ref.total(), nil)
+	cold, err := ref.g.MinCostFlow(ref.source, ref.sinkID, ref.total(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

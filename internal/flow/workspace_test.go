@@ -40,8 +40,8 @@ func buildTransportation(t testing.TB, g *Graph, nReq, nBS int, costs []float64)
 // TestWorkspaceReuseBitIdentical drives one reusable graph+workspace through a
 // sequence of cost perturbations (the per-slot hot path) and checks every
 // cold simplex solve is bit-identical to a from-scratch graph solved on a
-// fresh workspace: Reset, SetEdge and the carried basis storage leave no
-// trace in a cold solve.
+// fresh workspace: Reset, the kept edge storage and the carried basis storage
+// leave no trace in a cold solve.
 func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	const nReq, nBS, rounds = 6, 4, 8
 	rng := rand.New(rand.NewSource(7))
@@ -49,8 +49,6 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 
 	ws := NewWorkspace()
 	reused := NewGraph(0)
-	var ids []int
-	var src, sink int
 	for round := 0; round < rounds; round++ {
 		for i := range costs {
 			costs[i] = rng.Float64() * 10
@@ -58,36 +56,16 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 		// Reference: fresh graph, fresh everything.
 		fg := NewGraph(2 + nReq + nBS)
 		fs, ft, _ := buildTransportation(t, fg, nReq, nBS, costs)
-		want, err := fg.MinCostFlowSimplexWS(fs, ft, nReq, NewWorkspace())
+		want, err := fg.MinCostFlow(fs, ft, nReq, NewWorkspace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Hot path: rebuild once, then rewrite edges in place.
-		if round == 0 {
-			reused.Reset(2 + nReq + nBS)
-			src, sink, ids = buildTransportation(t, reused, nReq, nBS, costs)
-		} else {
-			k := 0
-			for r := 0; r < nReq; r++ {
-				if err := reused.SetEdge(ids[k], 1, 0); err != nil {
-					t.Fatal(err)
-				}
-				k++
-				for s := 0; s < nBS; s++ {
-					if err := reused.SetEdge(ids[k], math.Inf(1), costs[r*nBS+s]); err != nil {
-						t.Fatal(err)
-					}
-					k++
-				}
-			}
-			for s := 0; s < nBS; s++ {
-				if err := reused.SetEdge(ids[k], 3, 0); err != nil {
-					t.Fatal(err)
-				}
-				k++
-			}
-		}
-		got, err := reused.MinCostFlowSimplexWS(src, sink, nReq, ws)
+		// Hot path: re-wire the reused graph on its kept storage and drop the
+		// carried basis, so the solve is cold.
+		reused.Reset(2 + nReq + nBS)
+		src, sink, ids := buildTransportation(t, reused, nReq, nBS, costs)
+		ws.ResetBasis()
+		got, err := reused.MinCostFlow(src, sink, nReq, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,24 +81,6 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSetEdgeErrors exercises the handle validation of the in-place mutators.
-func TestSetEdgeErrors(t *testing.T) {
-	g := NewGraph(2)
-	id := mustEdge(t, g, 0, 1, 1, 1)
-	if err := g.SetEdge(id+1, 1, 1); err == nil {
-		t.Error("odd (twin) handle accepted")
-	}
-	if err := g.SetEdge(-2, 1, 1); err == nil {
-		t.Error("negative handle accepted")
-	}
-	if err := g.SetEdge(len(g.edges), 1, 1); err == nil {
-		t.Error("out-of-range handle accepted")
-	}
-	if err := g.SetEdge(id, 5, 2); err != nil {
-		t.Errorf("valid handle rejected: %v", err)
-	}
-}
-
 // TestResetReusesStorage checks Reset yields a working empty graph.
 func TestResetReusesStorage(t *testing.T) {
 	g := NewGraph(4)
@@ -132,7 +92,7 @@ func TestResetReusesStorage(t *testing.T) {
 	}
 	mustEdge(t, g, 0, 1, 2, 1)
 	mustEdge(t, g, 1, 2, 2, 1)
-	res, err := g.MinCostFlowSimplexWS(0, 2, 2, nil)
+	res, err := g.MinCostFlow(0, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

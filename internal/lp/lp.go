@@ -59,7 +59,6 @@ type Constraint struct {
 type Problem struct {
 	costs       []float64
 	upperBounds []float64 // math.Inf(1) when unbounded above
-	names       []string
 	constraints []Constraint
 	iterLimit   int // 0 = default pivot budget
 }
@@ -72,10 +71,9 @@ func NewProblem() *Problem {
 // AddBoundedVariable appends a variable with objective cost and upper bound
 // upper (use math.Inf(1) for none), returning its column index. All variables
 // are implicitly >= 0.
-func (p *Problem) AddBoundedVariable(cost, upper float64, name string) int {
+func (p *Problem) AddBoundedVariable(cost, upper float64) int {
 	p.costs = append(p.costs, cost)
 	p.upperBounds = append(p.upperBounds, upper)
-	p.names = append(p.names, name)
 	return len(p.costs) - 1
 }
 

@@ -23,7 +23,7 @@ func mustSolve(t *testing.T, p *Problem) *Solution {
 
 func TestSolveTrivialUnconstrained(t *testing.T) {
 	p := NewProblem()
-	p.AddBoundedVariable(1, math.Inf(1), "x")
+	p.AddBoundedVariable(1, math.Inf(1))
 	sol := mustSolve(t, p)
 	if !almostEqual(sol.Objective, 0, 1e-9) {
 		t.Errorf("objective = %v, want 0", sol.Objective)
@@ -34,8 +34,8 @@ func TestSolveSimpleLE(t *testing.T) {
 	// min -x - 2y st x + y <= 4, x <= 3, y <= 2 -> x=2(or 3?), maximize x+2y:
 	// best y=2, then x<=2 -> obj -(2)+-(4) = -6 at x=2,y=2.
 	p := NewProblem()
-	x := p.AddBoundedVariable(-1, 3, "x")
-	y := p.AddBoundedVariable(-2, 2, "y")
+	x := p.AddBoundedVariable(-1, 3)
+	y := p.AddBoundedVariable(-2, 2)
 	if err := p.AddConstraint([]int{x, y}, []float64{1, 1}, LE, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestSolveSimpleLE(t *testing.T) {
 func TestSolveEquality(t *testing.T) {
 	// min x + 2y st x + y = 5 -> x=5, y=0, obj 5.
 	p := NewProblem()
-	x := p.AddBoundedVariable(1, math.Inf(1), "x")
-	y := p.AddBoundedVariable(2, math.Inf(1), "y")
+	x := p.AddBoundedVariable(1, math.Inf(1))
+	y := p.AddBoundedVariable(2, math.Inf(1))
 	if err := p.AddConstraint([]int{x, y}, []float64{1, 1}, EQ, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestSolveEquality(t *testing.T) {
 func TestSolveGE(t *testing.T) {
 	// min 3x + 2y st x + y >= 4, x >= 0, y >= 0 -> y=4, obj 8.
 	p := NewProblem()
-	x := p.AddBoundedVariable(3, math.Inf(1), "x")
-	y := p.AddBoundedVariable(2, math.Inf(1), "y")
+	x := p.AddBoundedVariable(3, math.Inf(1))
+	y := p.AddBoundedVariable(2, math.Inf(1))
 	if err := p.AddConstraint([]int{x, y}, []float64{1, 1}, GE, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSolveGE(t *testing.T) {
 func TestSolveNegativeRHS(t *testing.T) {
 	// min x st -x <= -3  (i.e. x >= 3) -> obj 3.
 	p := NewProblem()
-	x := p.AddBoundedVariable(1, math.Inf(1), "x")
+	x := p.AddBoundedVariable(1, math.Inf(1))
 	if err := p.AddConstraint([]int{x}, []float64{-1}, LE, -3); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSolveNegativeRHS(t *testing.T) {
 
 func TestSolveInfeasible(t *testing.T) {
 	p := NewProblem()
-	x := p.AddBoundedVariable(1, 1, "x")
+	x := p.AddBoundedVariable(1, 1)
 	if err := p.AddConstraint([]int{x}, []float64{1}, GE, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func TestSolveInfeasible(t *testing.T) {
 
 func TestSolveUnbounded(t *testing.T) {
 	p := NewProblem()
-	p.AddBoundedVariable(-1, math.Inf(1), "x") // min -x, x unbounded above
-	y := p.AddBoundedVariable(1, math.Inf(1), "y")
+	p.AddBoundedVariable(-1, math.Inf(1)) // min -x, x unbounded above
+	y := p.AddBoundedVariable(1, math.Inf(1))
 	if err := p.AddConstraint([]int{y}, []float64{1}, LE, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,10 @@ func TestSolveUnbounded(t *testing.T) {
 func TestSolveDegenerate(t *testing.T) {
 	// Classic degenerate LP; checks anti-cycling terminates.
 	p := NewProblem()
-	x1 := p.AddBoundedVariable(-0.75, math.Inf(1), "x1")
-	x2 := p.AddBoundedVariable(150, math.Inf(1), "x2")
-	x3 := p.AddBoundedVariable(-0.02, math.Inf(1), "x3")
-	x4 := p.AddBoundedVariable(6, math.Inf(1), "x4")
+	x1 := p.AddBoundedVariable(-0.75, math.Inf(1))
+	x2 := p.AddBoundedVariable(150, math.Inf(1))
+	x3 := p.AddBoundedVariable(-0.02, math.Inf(1))
+	x4 := p.AddBoundedVariable(6, math.Inf(1))
 	cons := []struct {
 		coefs []float64
 		rhs   float64
@@ -159,7 +159,7 @@ func TestSolveTransportation(t *testing.T) {
 	var idx [2][3]int
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 3; j++ {
-			idx[i][j] = p.AddBoundedVariable(cost[i][j], math.Inf(1), "")
+			idx[i][j] = p.AddBoundedVariable(cost[i][j], math.Inf(1))
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -188,18 +188,18 @@ func TestValidateRejectsBadInput(t *testing.T) {
 	}{
 		{"nan cost", func() *Problem {
 			p := NewProblem()
-			p.AddBoundedVariable(math.NaN(), math.Inf(1), "x")
+			p.AddBoundedVariable(math.NaN(), math.Inf(1))
 			return p
 		}},
 		{"nan rhs", func() *Problem {
 			p := NewProblem()
-			x := p.AddBoundedVariable(1, math.Inf(1), "x")
+			x := p.AddBoundedVariable(1, math.Inf(1))
 			_ = p.AddConstraint([]int{x}, []float64{1}, LE, math.NaN())
 			return p
 		}},
 		{"inf coef", func() *Problem {
 			p := NewProblem()
-			x := p.AddBoundedVariable(1, math.Inf(1), "x")
+			x := p.AddBoundedVariable(1, math.Inf(1))
 			_ = p.AddConstraint([]int{x}, []float64{math.Inf(1)}, LE, 1)
 			return p
 		}},
@@ -215,7 +215,7 @@ func TestValidateRejectsBadInput(t *testing.T) {
 
 func TestAddConstraintErrors(t *testing.T) {
 	p := NewProblem()
-	x := p.AddBoundedVariable(1, math.Inf(1), "x")
+	x := p.AddBoundedVariable(1, math.Inf(1))
 	if err := p.AddConstraint([]int{x}, []float64{1, 2}, LE, 1); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
@@ -276,7 +276,7 @@ func TestPropertyRandomBoundedLPs(t *testing.T) {
 		m := 1 + rng.Intn(4)
 		p := NewProblem()
 		for j := 0; j < n; j++ {
-			p.AddBoundedVariable(rng.Float64()*4-2, 1+rng.Float64()*3, "")
+			p.AddBoundedVariable(rng.Float64()*4-2, 1+rng.Float64()*3)
 		}
 		for i := 0; i < m; i++ {
 			cols := make([]int, n)
@@ -338,8 +338,8 @@ func TestPropertyDualityGapZero(t *testing.T) {
 		c1 := rng.Float64()*4 - 2
 		u0 := 1 + rng.Float64()*4
 		u1 := 1 + rng.Float64()*4
-		p.AddBoundedVariable(c0, u0, "")
-		p.AddBoundedVariable(c1, u1, "")
+		p.AddBoundedVariable(c0, u0)
+		p.AddBoundedVariable(c1, u1)
 		a := rng.Float64() + 0.1
 		b := rng.Float64() + 0.1
 		rhs := rng.Float64()*6 + 0.5
@@ -380,7 +380,7 @@ func BenchmarkSolveMedium(b *testing.B) {
 		p := NewProblem()
 		const n, m = 60, 40
 		for j := 0; j < n; j++ {
-			p.AddBoundedVariable(rng.Float64()*2-1, 5, "")
+			p.AddBoundedVariable(rng.Float64()*2-1, 5)
 		}
 		for i := 0; i < m; i++ {
 			cols := make([]int, 0, 8)
@@ -414,7 +414,7 @@ func randBoundedProblem(rng *rand.Rand) *Problem {
 	p := NewProblem()
 	n := 3 + rng.Intn(6)
 	for j := 0; j < n; j++ {
-		p.AddBoundedVariable(rng.Float64()*10-5, 1+rng.Float64()*4, "")
+		p.AddBoundedVariable(rng.Float64()*10-5, 1+rng.Float64()*4)
 	}
 	m := 2 + rng.Intn(4)
 	for i := 0; i < m; i++ {

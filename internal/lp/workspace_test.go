@@ -14,7 +14,7 @@ func buildRandomTransport(t testing.TB, nSrc, nDst int, costs []float64) *Proble
 	t.Helper()
 	p := NewProblem()
 	for j := 0; j < nSrc*nDst; j++ {
-		p.AddBoundedVariable(costs[j], 1, "")
+		p.AddBoundedVariable(costs[j], 1)
 	}
 	for s := 0; s < nSrc; s++ {
 		cols := make([]int, nDst)
@@ -90,7 +90,7 @@ func TestSolveWSBitIdenticalToSolve(t *testing.T) {
 // TestMutatorErrors exercises the in-place mutation API's validation.
 func TestMutatorErrors(t *testing.T) {
 	p := NewProblem()
-	x := p.AddBoundedVariable(1, 1, "x")
+	x := p.AddBoundedVariable(1, 1)
 	if err := p.AddConstraint([]int{x}, []float64{1}, LE, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +203,8 @@ func TestWarmDriftAgreesWithCold(t *testing.T) {
 // between two solves on one workspace.
 func TestWarmEqualityRowsAgree(t *testing.T) {
 	p := NewProblem()
-	p.AddBoundedVariable(1, 1, "x1")
-	p.AddBoundedVariable(2, 1, "x2")
+	p.AddBoundedVariable(1, 1)
+	p.AddBoundedVariable(2, 1)
 	if err := p.AddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +222,8 @@ func TestWarmEqualityRowsAgree(t *testing.T) {
 // solves on one workspace.
 func TestWarmFallsBackOnMatrixChange(t *testing.T) {
 	p := NewProblem()
-	p.AddBoundedVariable(-1, 5, "x1")
-	p.AddBoundedVariable(-2, 5, "x2")
+	p.AddBoundedVariable(-1, 5)
+	p.AddBoundedVariable(-2, 5)
 	if err := p.AddConstraint([]int{0, 1}, []float64{1, 1}, LE, 6); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +242,8 @@ func TestWarmFallsBackOnMatrixChange(t *testing.T) {
 // ErrInfeasible, and the recovery must equal a cold solve.
 func TestWarmInfeasibleFallsBackCold(t *testing.T) {
 	p := NewProblem()
-	p.AddBoundedVariable(1, 1, "x1")
-	p.AddBoundedVariable(1, 1, "x2")
+	p.AddBoundedVariable(1, 1)
+	p.AddBoundedVariable(1, 1)
 	if err := p.AddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 1); err != nil {
 		t.Fatal(err)
 	}

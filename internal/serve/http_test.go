@@ -64,9 +64,9 @@ func readBody(t *testing.T, resp *http.Response) string {
 
 // TestDecideNeverAnswersEmpty200 drives /v1/decide through Handler() on a
 // cell whose feedback injector corrupts every played delay to NaN
-// (feedback:0:1). NaN cannot be JSON-encoded, so those decides must answer
-// 500 with the encoder's error, counted as serve.encode_errors — never a 200
-// with an empty or unparsable body.
+// (feedback:0:1). Corrupted readings are left out of played_delays, so every
+// decide must answer 200 with a decodable body, nothing may fail to encode,
+// and /v1/cells must keep answering 200.
 func TestDecideNeverAnswersEmpty200(t *testing.T) {
 	o := obs.New(obs.Options{})
 	s, err := New(Config{Shards: 1, Observer: o}, []*sim.Cell{newChaosCell(t, "feedback:0:1", 760)})
@@ -77,30 +77,114 @@ func TestDecideNeverAnswersEmpty200(t *testing.T) {
 	defer shutdownNow(t, s)
 	defer ts.Close()
 
-	failed := 0
 	for i := 0; i < 6; i++ {
 		resp := postJSON(t, ts.URL+"/v1/decide", `{"cell":0}`)
 		body := readBody(t, resp)
-		switch resp.StatusCode {
-		case http.StatusOK:
-			var dec map[string]any
-			if err := json.Unmarshal([]byte(body), &dec); err != nil || len(dec) == 0 {
-				t.Fatalf("decide %d: 200 with body %q (%v)", i, body, err)
-			}
-		case http.StatusInternalServerError:
-			if !strings.Contains(body, "encode") {
-				t.Fatalf("decide %d: 500 without the encoder's error: %q", i, body)
-			}
-			failed++
-		default:
+		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("decide %d: status %d: %s", i, resp.StatusCode, body)
 		}
+		var dec struct {
+			Stations []int          `json:"stations"`
+			Played   map[string]any `json:"played_delays"`
+		}
+		if err := json.Unmarshal([]byte(body), &dec); err != nil || len(dec.Stations) == 0 {
+			t.Fatalf("decide %d: 200 with body %q (%v)", i, body, err)
+		}
+		// Every reading was corrupted, so none may be reported.
+		if len(dec.Played) != 0 {
+			t.Fatalf("decide %d: corrupted readings reported as played delays: %v", i, dec.Played)
+		}
 	}
-	if failed == 0 {
-		t.Fatal("no decide carried a NaN delay; the check is vacuous")
+	if got := o.Snapshot().Counters["serve.encode_errors"]; got != 0 {
+		t.Errorf("serve.encode_errors = %d, want 0", got)
 	}
-	if got := o.Snapshot().Counters["serve.encode_errors"]; got != int64(failed) {
-		t.Errorf("serve.encode_errors = %d, want %d", got, failed)
+	resp, err := http.Get(ts.URL + "/v1/cells")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/cells: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestEchoedPlayedDelaysMatchAutoObserve drives two identical cells under
+// feedback loss and corruption: one takes the default feedback (observe with
+// no delays), the other echoes each decision's played_delays back through
+// /v1/observe. Both learners must end in the same state. The injector's
+// probabilities are cumulative, so feedback:0.5:0.5 drops or corrupts every
+// reading (every echo is empty) while feedback:0.25:0.25 keeps about half.
+func TestEchoedPlayedDelaysMatchAutoObserve(t *testing.T) {
+	for _, spec := range []string{"feedback:0.5:0.5", "feedback:0.25:0.25"} {
+		t.Run(spec, func(t *testing.T) {
+			const seed = 770
+			cells := []*sim.Cell{newChaosCell(t, spec, seed), newChaosCell(t, spec, seed)}
+			s, err := New(Config{Shards: 1}, cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			withheld, echoed := 0, 0 // decisions reporting fewer / some delays
+			for slot := 0; slot < 12; slot++ {
+				for cell := range cells {
+					resp := postJSON(t, ts.URL+"/v1/decide", fmt.Sprintf(`{"cell":%d}`, cell))
+					body := readBody(t, resp)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("slot %d cell %d: decide status %d: %s", slot, cell, resp.StatusCode, body)
+					}
+					observe := `{"cell":0}`
+					if cell == 1 {
+						var dec struct {
+							Stations []int              `json:"stations"`
+							Played   map[string]float64 `json:"played_delays"`
+						}
+						if err := json.Unmarshal([]byte(body), &dec); err != nil {
+							t.Fatal(err)
+						}
+						distinct := map[int]bool{}
+						for _, i := range dec.Stations {
+							distinct[i] = true
+						}
+						if len(dec.Played) < len(distinct) {
+							withheld++
+						}
+						if len(dec.Played) > 0 {
+							echoed++
+						}
+						delays, err := json.Marshal(dec.Played)
+						if err != nil {
+							t.Fatal(err)
+						}
+						observe = fmt.Sprintf(`{"cell":1,"delays":%s}`, delays)
+					}
+					resp = postJSON(t, ts.URL+"/v1/observe", observe)
+					if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+						t.Fatalf("slot %d cell %d: observe status %d: %s", slot, cell, resp.StatusCode, body)
+					}
+				}
+			}
+			if withheld == 0 {
+				t.Fatal("no reading was dropped or corrupted; the check is vacuous")
+			}
+			if spec == "feedback:0.25:0.25" && echoed == 0 {
+				t.Fatal("no reading survived; the echo path taught the learner nothing")
+			}
+			shutdownNow(t, s)
+			var digests [2]uint32
+			for i, c := range cells {
+				payload, err := c.ExportState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if digests[i], err = sim.StateDigest(payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if digests[0] != digests[1] {
+				t.Fatalf("echoed played_delays digest %08x, default feedback %08x", digests[1], digests[0])
+			}
+		})
 	}
 }
 

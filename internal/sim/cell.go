@@ -159,9 +159,11 @@ type CellDecision struct {
 	// FaultsInjected counts fault events injected this slot.
 	FaultsInjected int `json:"faults_injected,omitempty"`
 	// PlayedDelays maps station ID → the realised unit delay of every
-	// station that served a request this slot, after feedback faults
-	// (dropped observations are absent, corrupted ones are NaN). This is
-	// the default feedback Observe applies.
+	// station that served a request this slot, after feedback faults.
+	// Dropped and corrupted observations are both absent: a corrupted
+	// reading is NaN, which neither JSON nor Observe accepts, and the
+	// learner ignores it anyway. Echoing this map back to Observe therefore
+	// teaches the policy exactly what the default feedback does.
 	PlayedDelays map[int]float64 `json:"played_delays"`
 	// TrueVolumes is the slot's realised demand vector over the FULL
 	// workload request set (surge faults applied), the default volume
@@ -594,7 +596,9 @@ func (c *Cell) Decide(volumes []float64) (*CellDecision, error) {
 		d.Requests[j] = req.ID
 	}
 	for i, v := range played {
-		d.PlayedDelays[i] = v
+		if !math.IsNaN(v) {
+			d.PlayedDelays[i] = v
+		}
 	}
 	return d, nil
 }

@@ -10,14 +10,14 @@ import (
 
 func TestFailureInjectionValidation(t *testing.T) {
 	net, w := testEnv(t, 15, 8, 10)
-	if _, err := NewRunner(net, w, Config{FailureRate: -0.1}); err == nil {
+	if _, err := faults.NewStationOutage(-0.1, 5, 1); err == nil {
 		t.Error("negative failure rate accepted")
 	}
-	if _, err := NewRunner(net, w, Config{FailureRate: 1.5}); err == nil {
+	if _, err := faults.NewStationOutage(1.5, 5, 1); err == nil {
 		t.Error("failure rate > 1 accepted")
 	}
-	if _, err := NewRunner(net, w, Config{FailureRate: 0.1, FailureSlots: -3}); err == nil {
-		t.Error("negative FailureSlots accepted")
+	if _, err := faults.NewStationOutage(0.1, -3, 1); err == nil {
+		t.Error("negative down-slots accepted")
 	}
 	if _, err := NewRunner(net, w, Config{SolveBudget: -1}); err == nil {
 		t.Error("negative SolveBudget accepted")
@@ -40,9 +40,21 @@ func mustOutage(t *testing.T, rate float64, down int, seed int64) *faults.Statio
 	return o
 }
 
+// outageSchedule is a schedule of one i.i.d. station-outage injector over n
+// stations.
+func outageSchedule(t *testing.T, n int, rate float64, down int, seed int64) *faults.Schedule {
+	t.Helper()
+	sched, err := faults.NewSchedule(n, mustOutage(t, rate, down, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
+}
+
 func TestFailureInjectionZeroesCapacity(t *testing.T) {
 	net, w := testEnv(t, 15, 8, 30)
-	r, err := NewRunner(net, w, Config{Seed: 3, DemandsGiven: true, FailureRate: 0.1, FailureSlots: 3})
+	r, err := NewRunner(net, w, Config{Seed: 3, DemandsGiven: true,
+		Faults: outageSchedule(t, net.NumStations(), 0.1, 3, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +94,8 @@ func TestOLGDSurvivesFailures(t *testing.T) {
 	// The learning policy must route around failed stations without error
 	// and keep its delay bounded.
 	net, w := testEnv(t, 25, 10, 40)
-	r, err := NewRunner(net, w, Config{Seed: 5, DemandsGiven: true, FailureRate: 0.05, FailureSlots: 4})
+	r, err := NewRunner(net, w, Config{Seed: 5, DemandsGiven: true,
+		Faults: outageSchedule(t, net.NumStations(), 0.05, 4, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}

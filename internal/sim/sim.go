@@ -44,13 +44,6 @@ type Config struct {
 	// this slot (instances surviving from the previous slot stay warm).
 	// Off by default: the paper's objective (3) charges y_ki each slot.
 	WarmCache bool
-	// FailureRate is the per-slot probability that a healthy station fails
-	// (capacity drops to zero for FailureSlots slots). 0 disables it. This is
-	// the legacy knob, kept as a compatibility shim: a positive rate is
-	// translated into a faults.StationOutage injector appended to Faults.
-	FailureRate float64
-	// FailureSlots is how long a failed station stays down (default 5).
-	FailureSlots int
 	// Faults composes the fault injectors applied each slot (outages,
 	// brownouts, delay spikes, feedback loss, demand surges — see
 	// internal/faults). nil injects nothing. The schedule is Reset at the
@@ -98,7 +91,7 @@ type Result struct {
 	// assignment. The horizon itself never aborts on these.
 	DegradedSlots int
 	// FallbackSolves counts solver-ladder rungs that failed across the run
-	// (see caching.SolveLPLadderWS).
+	// (see caching.Problem.Solve).
 	FallbackSolves int
 	// RepairViolations counts requests shed past capacity across the run.
 	RepairViolations int
@@ -123,18 +116,13 @@ type Runner struct {
 	w   *workload.Workload
 	cfg Config
 
-	// sched composes Config.Faults with the legacy FailureRate shim; nil
-	// when no fault injection is configured.
+	// sched is Config.Faults; nil when no fault injection is configured.
 	sched *faults.Schedule
 
 	// accessLat[l][i] is the known latency from request l's registered
 	// station to station i (nil when disabled).
 	accessLat [][]float64
 }
-
-// _failureShimSeedOffset decorrelates the legacy-shim outage injector's
-// private randomness from the environment seed.
-const _failureShimSeedOffset = 7919
 
 // NewRunner prepares a simulation environment. The access-latency matrix is
 // precomputed from the network's link latencies (shortest paths).
@@ -145,15 +133,6 @@ func NewRunner(net *mec.Network, w *workload.Workload, cfg Config) (*Runner, err
 	if cfg.Slots < 0 || cfg.Slots > w.Config.Horizon {
 		return nil, fmt.Errorf("sim: Slots = %d outside [0,%d]", cfg.Slots, w.Config.Horizon)
 	}
-	if cfg.FailureRate < 0 || cfg.FailureRate > 1 {
-		return nil, fmt.Errorf("sim: FailureRate = %v outside [0,1]", cfg.FailureRate)
-	}
-	if cfg.FailureSlots < 0 {
-		return nil, fmt.Errorf("sim: FailureSlots = %d is negative", cfg.FailureSlots)
-	}
-	if cfg.FailureSlots == 0 {
-		cfg.FailureSlots = 5
-	}
 	if cfg.SolveBudget < 0 {
 		return nil, fmt.Errorf("sim: SolveBudget = %d is negative", cfg.SolveBudget)
 	}
@@ -161,24 +140,7 @@ func NewRunner(net *mec.Network, w *workload.Workload, cfg Config) (*Runner, err
 		return nil, fmt.Errorf("sim: fault schedule built for %d stations, network has %d",
 			cfg.Faults.NumStations(), net.NumStations())
 	}
-	r := &Runner{net: net, w: w, cfg: cfg}
-	// Legacy shim: a positive FailureRate becomes an i.i.d. station-outage
-	// injector composed after any explicitly configured injectors.
-	injs := cfg.Faults.InjectorList()
-	if cfg.FailureRate > 0 {
-		outage, err := faults.NewStationOutage(cfg.FailureRate, cfg.FailureSlots, cfg.Seed+_failureShimSeedOffset)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		injs = append(injs, outage)
-	}
-	if len(injs) > 0 {
-		sched, err := faults.NewSchedule(net.NumStations(), injs...)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		r.sched = sched
-	}
+	r := &Runner{net: net, w: w, cfg: cfg, sched: cfg.Faults}
 	if cfg.UseAccessLatency {
 		// Shortest latency from each distinct registered station, cached.
 		bySource := make(map[int][]float64)

@@ -197,11 +197,8 @@ type Scenario struct {
 	Slots int
 	// WarmCache switches instantiation accounting to warm-cache mode.
 	WarmCache bool
-	// FailureRate and FailureSlots configure station failure injection.
-	FailureRate  float64
-	FailureSlots int
 	// Chaos is a fault-injection spec (see WithChaos for the grammar). Empty
-	// means no injected faults beyond FailureRate.
+	// means no injected faults.
 	Chaos string
 	// ChaosSeed seeds the chaos injectors independently of the environment
 	// (0 = derive from Seed). The same ChaosSeed replays the same faults.
@@ -287,12 +284,6 @@ func WithScheduledEvents(n int) ScenarioOption {
 // paper's literal per-slot objective (3).
 func WithWarmCache(on bool) ScenarioOption {
 	return func(c *scenarioConfig) { c.warmCache = on }
-}
-
-// WithFailures injects station failures: each healthy station fails with the
-// given per-slot probability and stays down for the given number of slots.
-func WithFailures(rate float64, slots int) ScenarioOption {
-	return func(c *scenarioConfig) { c.failureRate = rate; c.failureSlots = slots }
 }
 
 // WithChaos attaches a composable fault-injection schedule, described by a
@@ -416,8 +407,6 @@ func NewScenario(opts ...ScenarioOption) (*Scenario, error) {
 		Seed:             cfg.seed,
 		Slots:            cfg.slots,
 		WarmCache:        cfg.warmCache,
-		FailureRate:      cfg.failureRate,
-		FailureSlots:     cfg.failureSlots,
 		Chaos:            cfg.chaos,
 		ChaosSeed:        cfg.chaosSeed,
 		SolveBudget:      cfg.solveBudget,
@@ -603,8 +592,6 @@ func (s *Scenario) runner(trackRegret bool) (*sim.Runner, error) {
 		Slots:            s.Slots,
 		UseAccessLatency: s.UseAccessLatency,
 		WarmCache:        s.WarmCache,
-		FailureRate:      s.FailureRate,
-		FailureSlots:     s.FailureSlots,
 		Faults:           sched,
 		SolveBudget:      s.SolveBudget,
 		Observer:         s.Observer,

@@ -263,14 +263,16 @@ func TestWithWarmCacheLowersDelay(t *testing.T) {
 	}
 }
 
-func TestWithFailuresSurvives(t *testing.T) {
+// TestStationOutagesSurvive runs OL_GD under i.i.d. station outages: the
+// horizon must complete and the outages must actually land.
+func TestStationOutagesSurvive(t *testing.T) {
 	wcfg := WorkloadConfig{
 		NumRequests: 8, NumServices: 2, Horizon: 20, NumClusters: 2,
 		BasicDemandMin: 1, BasicDemandMax: 2, BurstScale: 3,
 		BurstOnProb: 0.1, BurstStayProb: 0.7, CUnit: 40,
 	}
 	s, err := NewScenario(WithStations(20), WithSeed(4),
-		WithWorkloadConfig(wcfg), WithFailures(0.05, 4))
+		WithWorkloadConfig(wcfg), WithChaos("outage:0.05:4"), WithChaosSeed(4+6910))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +285,7 @@ func TestWithFailuresSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.FailedStationSlots == 0 {
-		t.Error("no failures injected despite FailureRate > 0")
+		t.Error("no station outages injected at rate 0.05")
 	}
 	if len(res.PerSlotDelayMS) != 20 {
 		t.Errorf("run truncated: %d slots", len(res.PerSlotDelayMS))
