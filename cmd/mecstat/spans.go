@@ -82,9 +82,8 @@ type spanRouteAnalysis struct {
 	Stages   []spanStageStats `json:"stages"`
 	// SolveByTier splits the solve stage by degradation-ladder tier.
 	SolveByTier []spanStageStats `json:"solve_by_tier,omitempty"`
-	// SolveByMode splits the solve stage by incremental mode (cold / warm /
-	// skip), showing how often warm starts and unchanged-slot skips
-	// actually fire end-to-end.
+	// SolveByMode splits the solve stage by incremental mode (cold / warm),
+	// showing how often warm starts actually fire end-to-end.
 	SolveByMode []spanStageStats `json:"solve_by_mode,omitempty"`
 	// Coverage is sum(stage totals)/e2e total: how much of the end-to-end
 	// latency the recorded stages attribute (the remainder is channel and
@@ -179,7 +178,7 @@ func analyseSpans(events []obs.Event) []spanRouteAnalysis {
 		for _, t := range tiers {
 			a.SolveByTier = append(a.SolveByTier, stageStats(t, acc.tiers[t], e2eTotal))
 		}
-		for _, m := range []string{"cold", "warm", "skip"} {
+		for _, m := range []string{"cold", "warm"} {
 			if vals := acc.modes[m]; len(vals) > 0 {
 				a.SolveByMode = append(a.SolveByMode, stageStats(m, vals, e2eTotal))
 			}

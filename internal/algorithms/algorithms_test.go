@@ -9,6 +9,7 @@ import (
 	"github.com/mecsim/l4e/internal/bandit"
 	"github.com/mecsim/l4e/internal/caching"
 	"github.com/mecsim/l4e/internal/mec"
+	"github.com/mecsim/l4e/internal/obs"
 )
 
 // testProblem builds a 4-station, 6-request, 2-service instance with ample
@@ -493,5 +494,25 @@ func TestOLGDLocalSearchVariantFeasible(t *testing.T) {
 			}
 		}
 		o.Observe(&Observation{T: trial, PlayedDelays: map[int]float64{0: 5, 1: 10, 2: 20, 3: 40}})
+	}
+}
+
+// TestObserveCountsAcceptedReadings feeds one valid and one corrupted (NaN)
+// reading: the arms take only the valid one, and bandit.observations must
+// count only what they took.
+func TestObserveCountsAcceptedReadings(t *testing.T) {
+	o, err := NewOLGD(DefaultOLGDConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := obs.New(obs.Options{})
+	o.SetObserver(ob)
+	o.Observe(&Observation{T: 0, PlayedDelays: map[int]float64{0: 5, 1: math.NaN()}})
+	snap := ob.Snapshot()
+	if got := snap.Counters["bandit.observations"]; got != 1 {
+		t.Errorf("bandit.observations = %d, want 1", got)
+	}
+	if got := o.arms.Count(1); got != 0 {
+		t.Errorf("the NaN reading was taken: arm 1 count %d", got)
 	}
 }

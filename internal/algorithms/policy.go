@@ -68,9 +68,6 @@ type DegradeReport struct {
 	// WarmSolve reports the slot's relaxation re-optimised the network-simplex
 	// basis carried from the previous slot.
 	WarmSolve bool
-	// SkippedSolve reports the slot's relaxation was skipped outright
-	// because its inputs were bit-identical to the previous slot's.
-	SkippedSolve bool
 }
 
 // reportSolve folds a solve's ladder statistics into the slot's report.
@@ -84,7 +81,6 @@ func (v *SlotView) reportSolve(stats caching.SolveStats) {
 	}
 	v.Degrade.Solver = stats.Solver
 	v.Degrade.WarmSolve = stats.WarmStarted
-	v.Degrade.SkippedSolve = stats.Skipped
 }
 
 // reportShed folds shed-request counts into the slot's report.
@@ -197,9 +193,6 @@ func recordSolve(o *obs.Observer, policy string, stats caching.SolveStats) {
 	}
 	if stats.WarmFallback {
 		o.Inc("flow.warm_fallbacks")
-	}
-	if stats.Skipped {
-		o.IncL("solve.skips", obs.L("reason", "unchanged")...)
 	}
 	// Network-simplex engine economics: basis exchanges per solve and how
 	// often the carried basis had to be rebuilt from scratch.
@@ -323,15 +316,21 @@ func solveRoundRepair(view *SlotView, ws *caching.Workspace, ob *obs.Observer, p
 
 // observeArms is Algorithm 1 lines 10-11, shared by OLGD and IndexOLGD: fold
 // each played station's measured delay into its arm, counting pulls and
-// observations on o.
+// observations on o. Only the readings the arms accept count: a corrupted
+// (NaN) reading teaches nothing.
 func observeArms(arms *bandit.Arms, o *obs.Observer, ob *Observation) {
 	labeled := o.Enabled()
+	accepted := 0
 	for i, d := range ob.PlayedDelays {
-		if arms.Observe(i, d) && labeled {
+		if !arms.Observe(i, d) {
+			continue
+		}
+		accepted++
+		if labeled {
 			o.IncL("bandit.pulls", obs.L("arm", armLabel(i))...)
 		}
 	}
-	o.Add("bandit.observations", int64(len(ob.PlayedDelays)))
+	o.Add("bandit.observations", int64(accepted))
 }
 
 // sampleFromCandidates implements Algorithm 1 line 7: assign each request to

@@ -174,10 +174,6 @@ type SolveStats struct {
 	// did not fit the graph, or it blew its pivot budget) and this result
 	// came from the cold rebuild that replaced it.
 	WarmFallback bool
-	// Skipped reports the solve was skipped outright and the previous slot's
-	// solution returned because every input was bit-identical — the result is
-	// exactly what a cold solve would produce.
-	Skipped bool
 	// BasisRebuilt reports the simplex solve built a fresh spanning-tree basis
 	// instead of re-optimising the carried one (always true on cold solves;
 	// true on a warm solve only when the warm attempt was abandoned).
@@ -240,14 +236,13 @@ const _zeroCapOverload = 100
 // one's storage (and, on the exact path, its LP structure), reported via
 // SolveStats.WorkspaceReused.
 //
-// Every workspace also solves incrementally, in two ways. A slot whose inputs
-// are bit-identical to the last successful solve's returns that solution
-// outright (SolveStats.Skipped), which is exact. On the flow backend any other
-// slot re-optimises the spanning-tree basis carried from the previous solve
-// (SolveStats.WarmStarted), which reaches the same optimal objective within
-// the solver tolerance but, where the LP has several optima, may pick a
-// different one. The exact backend always solves cold. A nil workspace, or a
-// ResetWarm before each solve, gives the cold reference.
+// Every workspace also solves incrementally on the flow backend: a flow solve
+// that follows a successful flow solve of the same shape re-optimises the
+// spanning-tree basis carried from it (SolveStats.WarmStarted), which reaches
+// the same optimal objective within the solver tolerance but, where the LP has
+// several optima, may pick a different one. The exact backend always solves
+// cold. A nil workspace, or a ResetWarm before each solve, gives the cold
+// reference.
 //
 // A Workspace is not safe for concurrent use, and the Fractional returned by
 // Solve aliases workspace memory: it is valid only until the next
@@ -274,22 +269,9 @@ type Workspace struct {
 	yRows [][]float64
 	yBack []float64
 
-	// A snapshot of the inputs of the last successful solve. It gates the
-	// unchanged-slot skip and, on the flow backend, the warm start.
-	prevKind      SolverKind // backend of the last successful solve ("" = none)
-	prevObjective float64
-	prevL         int
-	prevN         int
-	prevK         int
-	prevCUnit     float64
-	prevBudget    int
-	prevServices  []int
-	prevVolumes   []float64
-	prevDelays    []float64
-	prevCaps      []float64
-	prevInst      []float64 // flattened [i*K+k]
-	prevAccess    []float64 // flattened [l*N+i]; valid when prevAccessSet
-	prevAccessSet bool
+	// warm reports the last solve was a successful flow solve, so its basis
+	// may seed the next flow solve of the same shape.
+	warm bool
 }
 
 // NewWorkspace returns an empty workspace; state builds up on first solve.
@@ -297,106 +279,15 @@ func NewWorkspace() *Workspace {
 	return &Workspace{flowWS: flow.NewWorkspace(), graph: flow.NewGraph(0), lpWS: lp.NewWorkspace()}
 }
 
-// ResetWarm drops all cross-slot incremental carryover — the cached
-// problem fingerprint/solution and the network-simplex basis: the next solve
-// runs cold and warm state re-accumulates from there. This is the checkpoint
-// barrier of the persistence layer: snapshots deliberately exclude solver
-// workspaces, so a restored process starts cold at the checkpoint slot;
+// ResetWarm drops the network-simplex basis carried across slots: the next
+// solve runs cold and warm state re-accumulates from there. This is the
+// checkpoint barrier of the persistence layer: snapshots deliberately exclude
+// solver workspaces, so a restored process starts cold at the checkpoint slot;
 // resetting the live process at the same slot keeps the two solve histories
 // identical.
 func (ws *Workspace) ResetWarm() {
-	ws.prevKind = ""
+	ws.warm = false
 	ws.flowWS.ResetBasis()
-}
-
-// noteSolved snapshots the solved problem's inputs for the next slot's
-// incremental checks.
-func (ws *Workspace) noteSolved(p *Problem, kind SolverKind, objective float64) {
-	L, N, K := len(p.Requests), p.NumStations, p.NumServices
-	ws.prevKind = kind
-	ws.prevObjective = objective
-	ws.prevL, ws.prevN, ws.prevK = L, N, K
-	ws.prevCUnit, ws.prevBudget = p.CUnit, p.SolveBudget
-	ws.prevServices = growIDs(ws.prevServices, L)
-	ws.prevVolumes = growVals(ws.prevVolumes, L)
-	for l, r := range p.Requests {
-		ws.prevServices[l] = r.Service
-		ws.prevVolumes[l] = r.Volume
-	}
-	ws.prevDelays = growVals(ws.prevDelays, N)
-	copy(ws.prevDelays, p.UnitDelayMS)
-	ws.prevCaps = growVals(ws.prevCaps, N)
-	copy(ws.prevCaps, p.CapacityMHz)
-	ws.prevInst = growVals(ws.prevInst, N*K)
-	for i := 0; i < N; i++ {
-		copy(ws.prevInst[i*K:(i+1)*K], p.InstDelayMS[i])
-	}
-	ws.prevAccessSet = p.AccessLatencyMS != nil
-	if ws.prevAccessSet {
-		ws.prevAccess = growVals(ws.prevAccess, L*N)
-		for l := 0; l < L; l++ {
-			copy(ws.prevAccess[l*N:(l+1)*N], p.AccessLatencyMS[l])
-		}
-	}
-}
-
-// unchangedSince reports whether every solve-relevant input of p is
-// bit-identical to the snapshot of the last successful solve. When true, the
-// cached solution IS the cold solution (the solvers are deterministic), so
-// returning it is exact.
-func (ws *Workspace) unchangedSince(p *Problem) bool {
-	L, N, K := len(p.Requests), p.NumStations, p.NumServices
-	if ws.prevL != L || ws.prevN != N || ws.prevK != K ||
-		ws.prevCUnit != p.CUnit || ws.prevBudget != p.SolveBudget {
-		return false
-	}
-	for l, r := range p.Requests {
-		if ws.prevServices[l] != r.Service || ws.prevVolumes[l] != r.Volume {
-			return false
-		}
-	}
-	for i := 0; i < N; i++ {
-		if ws.prevDelays[i] != p.UnitDelayMS[i] || ws.prevCaps[i] != p.CapacityMHz[i] {
-			return false
-		}
-	}
-	for i := 0; i < N; i++ {
-		row := p.InstDelayMS[i]
-		for k := 0; k < K; k++ {
-			if ws.prevInst[i*K+k] != row[k] {
-				return false
-			}
-		}
-	}
-	if ws.prevAccessSet != (p.AccessLatencyMS != nil) {
-		return false
-	}
-	if ws.prevAccessSet {
-		for l := 0; l < L; l++ {
-			row := p.AccessLatencyMS[l]
-			for i := 0; i < N; i++ {
-				if ws.prevAccess[l*N+i] != row[i] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// skippedResult assembles the Fractional for a skipped solve: the cached X/Y
-// matrices (untouched since the solve that produced them) plus fresh stats.
-func (ws *Workspace) skippedResult(kind SolverKind) *Fractional {
-	return &Fractional{
-		X:         ws.xRows,
-		Y:         ws.yRows,
-		Objective: ws.prevObjective,
-		Stats: SolveStats{
-			Solver:          kind,
-			WorkspaceReused: true,
-			Skipped:         true,
-		},
-	}
 }
 
 // matrix returns a rows x cols matrix carved out of one zeroed backing slice,
@@ -477,12 +368,7 @@ func (p *Problem) Solve(ws *Workspace) (*Fractional, error) {
 // the oracle against which solveFlow is validated.
 func (p *Problem) solveExact(ws *Workspace) (*Fractional, error) {
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
-	if ws.prevKind == SolverSimplex && ws.unchangedSince(p) {
-		return ws.skippedResult(SolverSimplex), nil
-	}
-	// The cached solution is consumed by the solve below (the result matrices
-	// are rewritten), so the snapshot must not outlive a failed attempt.
-	ws.prevKind = ""
+	ws.warm = false
 	prob, reused, err := p.lowerLP(ws)
 	if err != nil {
 		return nil, err
@@ -506,7 +392,6 @@ func (p *Problem) solveExact(ws *Workspace) (*Fractional, error) {
 	for k := 0; k < K; k++ {
 		copy(frac.Y[k], sol.X[L*N+k*N:L*N+(k+1)*N])
 	}
-	ws.noteSolved(p, SolverSimplex, frac.Objective)
 	return frac, nil
 }
 
@@ -611,21 +496,15 @@ func (p *Problem) lowerLP(ws *Workspace) (prob *lp.Problem, reused bool, err err
 // produces are what Algorithm 1 consumes (candidate sets + probabilities),
 // and tests verify they track the exact LP closely on overlapping sizes.
 //
-// An unchanged slot skips outright. Any other slot after a flow solve of the
-// same shape re-optimises the spanning-tree basis carried in the workspace,
-// which handles its own staleness: an unusable restored tree falls back to a
-// cold basis rebuild inside flow, reported via Stats.BasisRebuilt. Every other
-// slot drops the basis first and solves cold.
+// A slot after a successful flow solve of the same shape re-optimises the
+// spanning-tree basis carried in the workspace, which handles its own
+// staleness: an unusable restored tree falls back to a cold basis rebuild
+// inside flow, reported via Stats.BasisRebuilt. Every other slot drops the
+// basis first and solves cold.
 func (p *Problem) solveFlow(ws *Workspace) (*Fractional, error) {
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
-	warmEligible := false
-	if ws.prevKind == SolverFlow && ws.graphL == L && ws.graphN == N {
-		if ws.unchangedSince(p) {
-			return ws.skippedResult(SolverFlow), nil
-		}
-		warmEligible = true
-	}
-	ws.prevKind = ""
+	warmEligible := ws.warm && ws.graphL == L && ws.graphN == N
+	ws.warm = false
 	if !warmEligible {
 		ws.flowWS.ResetBasis()
 	}
@@ -652,7 +531,7 @@ func (p *Problem) solveFlow(ws *Workspace) (*Fractional, error) {
 	p.extractFlow(ws, frac)
 	// Recompute the objective in LP terms (y = max x, not amortised).
 	frac.Objective = p.fracObjective(frac)
-	ws.noteSolved(p, SolverFlow, frac.Objective)
+	ws.warm = true
 	return frac, nil
 }
 
@@ -725,9 +604,9 @@ func (p *Problem) extractFlow(ws *Workspace, frac *Fractional) {
 // station, capacity violations are accepted and priced by Evaluate's overload
 // model rather than rejected.
 func (p *Problem) solveGreedy(ws *Workspace) *Fractional {
-	// Greedy results are not LP optima, so they must never feed an
-	// incremental skip or warm start on a later slot.
-	ws.prevKind = ""
+	// Greedy results are not LP optima, so they must never seed a warm
+	// start on a later slot.
+	ws.warm = false
 	L, N, K := len(p.Requests), p.NumStations, p.NumServices
 	frac := ws.result(L, N, K)
 	a, _ := p.GreedyAssign(p.LargestFirst())
@@ -743,13 +622,6 @@ func (p *Problem) solveGreedy(ws *Workspace) *Fractional {
 func growIDs(buf []int, n int) []int {
 	if cap(buf) < n {
 		return make([]int, n)
-	}
-	return buf[:n]
-}
-
-func growVals(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
 	}
 	return buf[:n]
 }

@@ -162,10 +162,10 @@ func TestPropertyLadderSimplexNeverFails(t *testing.T) {
 // drift property on the flow rung alone: one incremental workspace rides a
 // drifting sequence — delay drift, volume jitter, occasional shape
 // changes, quiet slots — and every step must match a cold SSP solve on the
-// amortised cost. The suite must also actually exercise the warm-basis path
-// and the unchanged-slot skip.
+// amortised cost. The suite must also actually exercise the warm-basis path:
+// quiet slots re-solve warm too.
 func TestPropertyIncrementalSimplexDriftAgreesWithCold(t *testing.T) {
-	warm, skipped, rebuilt := 0, 0, 0
+	warm, rebuilt := 0, 0
 	for seed := int64(4000); seed < 4150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		N := 2 + rng.Intn(5)
@@ -235,22 +235,19 @@ func TestPropertyIncrementalSimplexDriftAgreesWithCold(t *testing.T) {
 			}
 			a, b := amortisedCost(p, inc), amortisedCost(p, cold)
 			if math.Abs(a-b) > 1e-6*(1+math.Abs(b)) {
-				t.Fatalf("seed %d step %d (warm=%v skipped=%v rebuilt=%v): amortised cost %v incremental vs %v cold-ssp",
-					seed, step, inc.Stats.WarmStarted, inc.Stats.Skipped, inc.Stats.BasisRebuilt, a, b)
+				t.Fatalf("seed %d step %d (warm=%v rebuilt=%v): amortised cost %v incremental vs %v cold-ssp",
+					seed, step, inc.Stats.WarmStarted, inc.Stats.BasisRebuilt, a, b)
 			}
 			if inc.Stats.WarmStarted {
 				warm++
-			}
-			if inc.Stats.Skipped {
-				skipped++
 			}
 			if inc.Stats.BasisRebuilt && step > 0 {
 				rebuilt++
 			}
 		}
 	}
-	if warm == 0 || skipped == 0 {
-		t.Fatalf("drift sequences produced %d warm simplex solves and %d skips; generator too tame", warm, skipped)
+	if warm < 350 {
+		t.Fatalf("drift sequences produced %d warm simplex solves; generator too tame", warm)
 	}
-	t.Logf("warm=%d skipped=%d mid-sequence rebuilds=%d", warm, skipped, rebuilt)
+	t.Logf("warm=%d mid-sequence rebuilds=%d", warm, rebuilt)
 }

@@ -21,18 +21,19 @@ func copyFractional(f *Fractional) *Fractional {
 	return out
 }
 
-// TestIncrementalUnchangedSkipBitIdentical feeds an incremental workspace the
-// same slot twice on both backends: the second solve must be skipped with
-// reason "unchanged" and return the cold solution bit for bit. This is the
-// strongest guarantee tier — skipping an unchanged slot is provably exact
-// because the solvers are deterministic.
-func TestIncrementalUnchangedSkipBitIdentical(t *testing.T) {
+// TestIncrementalUnchangedSlotResolves feeds one workspace the same slot
+// twice on both backends. Nothing is skipped: the exact backend re-solves
+// cold and must return the first solution bit for bit, and the flow backend
+// re-solves warm from the basis the first solve left, which is still optimal,
+// so it takes zero pivots and reaches the same objective.
+func TestIncrementalUnchangedSlotResolves(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
+		solver  SolverKind
 		L, N, K int
 	}{
-		{"exact", 6, 4, 3},
-		{"flow", 30, 8, 3},
+		{"exact", SolverSimplex, 6, 4, 3},
+		{"flow", SolverFlow, 30, 8, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
@@ -54,14 +55,85 @@ func TestIncrementalUnchangedSkipBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !second.Stats.Skipped {
-				t.Fatal("unchanged slot not skipped")
+			if second.Stats.Solver != tc.solver {
+				t.Fatalf("solved by %s", second.Stats.Solver)
 			}
-			if second.Stats.WarmStarted || second.Stats.Iterations != 0 {
-				t.Fatalf("skip did solver work: warm=%v iterations=%d",
-					second.Stats.WarmStarted, second.Stats.Iterations)
+			if tc.solver == SolverSimplex {
+				if second.Stats.WarmStarted {
+					t.Fatal("the exact backend warm-started")
+				}
+				compareFractional(t, "exact re-solve", second, want)
+				return
 			}
-			compareFractional(t, "skip-vs-cold", second, want)
+			if !second.Stats.WarmStarted || second.Stats.BasisRebuilt || second.Stats.Iterations != 0 {
+				t.Fatalf("unchanged flow slot: %+v, want a warm solve with 0 pivots", second.Stats)
+			}
+			if math.Abs(second.Objective-want.Objective) > 1e-12*math.Abs(want.Objective) {
+				t.Fatalf("warm re-solve objective %v, first solve %v", second.Objective, want.Objective)
+			}
+		})
+	}
+}
+
+// TestWarmEligibilityTransitions pins when a flow solve may start from the
+// carried basis: only right after a successful flow solve of the same shape.
+// An exact solve, a failed rung, the greedy rung, a shape change or ResetWarm
+// in between each make the next flow solve cold.
+func TestWarmEligibilityTransitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	p := randomProblem(rng, 30, 8, 3)
+	small := randomProblem(rng, 4, 4, 2)
+	starved := randomProblem(rand.New(rand.NewSource(12)), 30, 8, 3)
+	for i := range starved.CapacityMHz {
+		starved.CapacityMHz[i] = 1
+	}
+	for _, tc := range []struct {
+		name     string
+		between  func(t *testing.T, ws *Workspace)
+		wantWarm bool
+	}{
+		{"flow", func(t *testing.T, ws *Workspace) {}, true},
+		{"exact", func(t *testing.T, ws *Workspace) {
+			if _, err := small.solveExact(ws); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+		{"failed exact rung", func(t *testing.T, ws *Workspace) {
+			budgeted := *small
+			budgeted.SolveBudget = 1
+			if _, err := budgeted.solveExact(ws); err == nil {
+				t.Fatal("1-pivot budget solved the LP")
+			}
+		}, false},
+		{"failed flow rung", func(t *testing.T, ws *Workspace) {
+			if _, err := starved.solveFlow(ws); err == nil {
+				t.Fatal("starved capacities solved")
+			}
+		}, false},
+		{"greedy rung", func(t *testing.T, ws *Workspace) { p.solveGreedy(ws) }, false},
+		{"shape change", func(t *testing.T, ws *Workspace) {
+			shorter := *p
+			shorter.Requests = p.Requests[:len(p.Requests)-1]
+			if _, err := shorter.solveFlow(ws); err != nil {
+				t.Fatal(err)
+			}
+			// The next solve below has the original shape again.
+		}, false},
+		{"ResetWarm", func(t *testing.T, ws *Workspace) { ws.ResetWarm() }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := NewWorkspace()
+			if _, err := p.solveFlow(ws); err != nil {
+				t.Fatal(err)
+			}
+			tc.between(t, ws)
+			f, err := p.solveFlow(ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm := f.Stats.WarmStarted || f.Stats.WarmFallback; warm != tc.wantWarm {
+				t.Fatalf("next flow solve warm=%v, want %v (%+v)", warm, tc.wantWarm, f.Stats)
+			}
 		})
 	}
 }
@@ -123,8 +195,8 @@ func TestIncrementalCertificateSkip(t *testing.T) {
 }
 
 // TestIncrementalRepairReroutesChangedDemand changes one request's volume
-// between slots: the solve must re-route it from the carried basis (warm, not
-// skipped) and agree with the cold SSP reference.
+// between slots: the solve must re-route it from the carried basis (warm)
+// and agree with the cold SSP reference.
 func TestIncrementalRepairReroutesChangedDemand(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := randomProblem(rng, 12, 4, 2)
@@ -137,9 +209,8 @@ func TestIncrementalRepairReroutesChangedDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Stats.WarmStarted || got.Stats.Skipped {
-		t.Fatalf("volume change did not take the warm path: warm=%v skip=%v",
-			got.Stats.WarmStarted, got.Stats.Skipped)
+	if !got.Stats.WarmStarted {
+		t.Fatalf("volume change did not take the warm path: %+v", got.Stats)
 	}
 	cold, err := coldSSP(p)
 	if err != nil {
@@ -185,7 +256,7 @@ func TestIncrementalChaosSequenceSurvivesFaults(t *testing.T) {
 	for step := 0; step < 3; step++ {
 		driftDelays(rng, p)
 		f := solve("pre-fault drift")
-		if !f.Stats.WarmStarted && !f.Stats.Skipped {
+		if !f.Stats.WarmStarted {
 			t.Fatalf("pre-fault drift step %d ran cold: %+v", step, f.Stats)
 		}
 	}
@@ -206,7 +277,7 @@ func TestIncrementalChaosSequenceSurvivesFaults(t *testing.T) {
 	// and must match a fresh solve bit for bit.
 	copy(p.CapacityMHz, savedCaps)
 	recovered := solve("recovery")
-	if recovered.Stats.WarmStarted || recovered.Stats.Skipped {
+	if recovered.Stats.WarmStarted {
 		t.Fatalf("first post-outage solve reused state: %+v", recovered.Stats)
 	}
 	fresh, err := p.Solve(NewWorkspace())
@@ -223,7 +294,7 @@ func TestIncrementalChaosSequenceSurvivesFaults(t *testing.T) {
 		if f.Stats.Solver != SolverFlow {
 			t.Fatalf("post-fault step %d solved by %s, want the flow rung", step, f.Stats.Solver)
 		}
-		if step > 0 && !f.Stats.WarmStarted && !f.Stats.Skipped {
+		if step > 0 && !f.Stats.WarmStarted {
 			t.Fatalf("post-fault step %d still cold: %+v", step, f.Stats)
 		}
 	}

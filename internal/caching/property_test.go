@@ -261,10 +261,10 @@ func TestPropertyLadderNeverFails(t *testing.T) {
 // (service reassignments, requests appearing and disappearing) — through one
 // incremental workspace, checking every step against a cold solve: objectives
 // agree within solver tolerance and the ILP invariants hold. The sequences
-// must also actually exercise the machinery: both warm solves and skips have
-// to occur somewhere in the suite, or the generator has gone tame.
+// must also actually exercise the machinery: enough warm solves have to occur
+// across the suite, or the generator has gone tame.
 func TestPropertyIncrementalDriftAgreesWithCold(t *testing.T) {
-	warm, skipped := 0, 0
+	warm := 0
 	for seed := int64(3000); seed < 3200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		N := 2 + rng.Intn(5)
@@ -335,20 +335,16 @@ func TestPropertyIncrementalDriftAgreesWithCold(t *testing.T) {
 				t.Fatalf("seed %d step %d: cold: %v", seed, step, err)
 			}
 			if math.Abs(inc.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
-				t.Fatalf("seed %d step %d (%s, warm=%v skipped=%v): objective %v incremental vs %v cold",
-					seed, step, inc.Stats.Solver, inc.Stats.WarmStarted, inc.Stats.Skipped,
-					inc.Objective, cold.Objective)
+				t.Fatalf("seed %d step %d (%s, warm=%v): objective %v incremental vs %v cold",
+					seed, step, inc.Stats.Solver, inc.Stats.WarmStarted, inc.Objective, cold.Objective)
 			}
 			if inc.Stats.WarmStarted {
 				warm++
 			}
-			if inc.Stats.Skipped {
-				skipped++
-			}
 		}
 	}
-	if warm == 0 || skipped == 0 {
-		t.Fatalf("200 drift sequences produced %d warm solves and %d skips; generator too tame", warm, skipped)
+	if warm < 160 {
+		t.Fatalf("200 drift sequences produced %d warm solves; generator too tame", warm)
 	}
 }
 

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -100,7 +101,9 @@ func scanDir(dir string) (snaps, wals []uint64, err error) {
 // Open attaches to (creating if needed) a cell state directory, performs
 // recovery scanning, truncates any torn WAL tail, and reopens the top WAL
 // for appending. The returned Recovery tells the caller what state to
-// rebuild before new ops flow. The observer may be nil.
+// rebuild before new ops flow. The observer may be nil. A snapshot of
+// another SnapshotVersion is not corruption: Open then fails, naming both
+// versions, before it has changed any file.
 func Open(dir string, o *obs.Observer) (*Manager, *Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("persist: creating state dir: %w", err)
@@ -114,7 +117,11 @@ func Open(dir string, o *obs.Observer) (*Manager, *Recovery, error) {
 	// Baseline: newest snapshot that passes CRC; corrupt ones fall back a
 	// generation.
 	for i := len(snaps) - 1; i >= 0; i-- {
-		payload, err := readSnapshotFile(filepath.Join(dir, snapName(snaps[i])))
+		path := filepath.Join(dir, snapName(snaps[i]))
+		payload, err := readSnapshotFile(path)
+		if errors.Is(err, errVersionSkew) {
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
 		if err != nil {
 			rec.CorruptDrops++
 			o.Inc("persist.corrupt_drops")
@@ -268,25 +275,37 @@ type Inspection struct {
 
 // Inspect scans a state directory without mutating it (no truncation, no
 // pruning, no counters) — safe to run against a live daemon's directory.
+// Like Open, it fails on a snapshot of another SnapshotVersion.
 func Inspect(dir string) (*Inspection, error) {
 	snaps, wals, err := scanDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	ins := &Inspection{Dir: dir, WALGens: wals}
+	// skew is the version skew Open would stop at: one with no valid
+	// snapshot newer than it.
+	var skew error
 	for _, g := range snaps {
 		path := filepath.Join(dir, snapName(g))
 		info := GenInfo{Gen: g}
 		if st, err := os.Stat(path); err == nil {
 			info.Size = st.Size()
 		}
-		if payload, err := readSnapshotFile(path); err == nil {
+		payload, err := readSnapshotFile(path)
+		switch {
+		case err == nil:
 			info.Valid = true
 			// Newest valid snapshot wins (ascending scan: keep overwriting).
 			ins.BaselineGen = g
 			ins.Baseline = payload
+			skew = nil
+		case errors.Is(err, errVersionSkew):
+			skew = fmt.Errorf("%s: %w", path, err)
 		}
 		ins.Snapshots = append(ins.Snapshots, info)
+	}
+	if skew != nil {
+		return nil, skew
 	}
 	expect := ins.BaselineGen
 	for _, g := range wals {

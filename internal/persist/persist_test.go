@@ -2,10 +2,13 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/mecsim/l4e/internal/obs"
@@ -426,4 +429,85 @@ func TestInspectMatchesRecovery(t *testing.T) {
 	if len(ins.Snapshots) != 1 || !ins.Snapshots[0].Valid {
 		t.Fatalf("snapshots: %+v", ins.Snapshots)
 	}
+}
+
+// TestOpenRefusesVersionSkew upgrades a state directory under a build of
+// another snapshot version: snap-3/4 framed with SnapshotVersion+1 beside
+// wal-3/4. That is not corruption. Open must fail, name both versions, and
+// leave every file byte for byte as it was, instead of dropping the
+// snapshots, deleting the WALs as a broken chain and starting a genesis cell.
+// Inspect must refuse too, not report the snapshots as corrupt.
+func TestOpenRefusesVersionSkew(t *testing.T) {
+	dir := t.TempDir()
+	m, _, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		drive(t, m, "op")
+		if err := m.Checkpoint([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drive(t, m, "tail")
+	m.Close()
+	for _, g := range []uint64{3, 4} {
+		path := filepath.Join(dir, snapName(g))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data[4:8], SnapshotVersion+1)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := readDir(t, dir)
+
+	o := obs.New(obs.Options{})
+	_, _, err = Open(dir, o)
+	if err == nil {
+		t.Fatal("Open accepted snapshots of another version")
+	}
+	for _, want := range []string{
+		fmt.Sprintf("version %d", SnapshotVersion+1),
+		fmt.Sprintf("version %d", SnapshotVersion),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if n := o.Snapshot().Counters["persist.corrupt_drops"]; n != 0 {
+		t.Errorf("version skew counted as %d corrupt drops", n)
+	}
+	if _, err := Inspect(dir); err == nil {
+		t.Error("Inspect accepted snapshots of another version")
+	}
+	after := readDir(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("files before %d, after %d", len(before), len(after))
+	}
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Errorf("%s changed", name)
+		}
+	}
+}
+
+// readDir maps every file name in dir to its bytes.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = data
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -20,15 +21,19 @@ import (
 const (
 	snapshotMagic = uint32(0x4d454353) // "MECS"
 	// SnapshotVersion is the framing version stamped into every snapshot
-	// file. Bump it when the payload encoding changes incompatibly; old
-	// files are then rejected at read time instead of misdecoded.
-	SnapshotVersion = uint32(1)
+	// file. Bump it when the payload encoding changes incompatibly; files of
+	// another version are then refused at read time instead of misdecoded.
+	SnapshotVersion = uint32(2)
 	snapshotHeader  = 4 + 4 + 8 + 4
 
 	// maxPayload caps what a corrupt length field can make the reader
 	// allocate (cell payloads are a few KB to a few MB).
 	maxPayload = 1 << 28
 )
+
+// errVersionSkew marks an intact snapshot framed by another SnapshotVersion:
+// a file this build cannot decode, not a corrupt one.
+var errVersionSkew = errors.New("persist: snapshot version skew")
 
 // encodeSnapshot frames a payload into snapshot file bytes.
 func encodeSnapshot(payload []byte) []byte {
@@ -43,7 +48,8 @@ func encodeSnapshot(payload []byte) []byte {
 
 // parseSnapshot validates snapshot file bytes and returns the payload
 // (aliasing data). Any truncation, version skew, length mismatch, or CRC
-// failure is an error — a parsed payload is exactly what was written.
+// failure is an error — a parsed payload is exactly what was written. Version
+// skew wraps errVersionSkew.
 func parseSnapshot(data []byte) ([]byte, error) {
 	if len(data) < snapshotHeader {
 		return nil, fmt.Errorf("persist: snapshot truncated: %d bytes < %d-byte header", len(data), snapshotHeader)
@@ -52,7 +58,7 @@ func parseSnapshot(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("persist: bad snapshot magic %#x", m)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != SnapshotVersion {
-		return nil, fmt.Errorf("persist: unsupported snapshot version %d (want %d)", v, SnapshotVersion)
+		return nil, fmt.Errorf("%w: file has version %d, this build reads version %d", errVersionSkew, v, SnapshotVersion)
 	}
 	n := binary.LittleEndian.Uint64(data[8:16])
 	if n > maxPayload {

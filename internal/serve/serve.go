@@ -439,12 +439,7 @@ func (s *Server) executeTimed(sh *shard, t task, deq time.Time) taskResult {
 			if res.dec.Solver != "" {
 				tier = res.dec.Solver
 			}
-			// Incremental solve mode: a skipped solve (unchanged slot) beats
-			// a warm-started one, which beats the cold default.
-			switch {
-			case res.dec.SkippedSolve:
-				mode = "skip"
-			case res.dec.WarmSolve:
+			if res.dec.WarmSolve {
 				mode = "warm"
 			}
 		}

@@ -151,11 +151,13 @@ type CellDecision struct {
 	// FallbackSolves and Shed count the slot's engaged degradation rungs.
 	FallbackSolves int `json:"fallback_solves,omitempty"`
 	Shed           int `json:"shed,omitempty"`
-	// WarmSolve / SkippedSolve report the slot's relaxation reused the
-	// previous slot's optimisation state or was skipped outright. Both false
-	// for policies that solve no LP relaxation (Greedy_GD, Pri_GD).
-	WarmSolve    bool `json:"warm_solve,omitempty"`
-	SkippedSolve bool `json:"skipped_solve,omitempty"`
+	// WarmSolve reports the slot's relaxation re-optimised the previous
+	// slot's network-simplex basis. False for policies that solve no LP
+	// relaxation (Greedy_GD, Pri_GD).
+	WarmSolve bool `json:"warm_solve,omitempty"`
+	// SkippedSolve is always false: no solve is skipped. It stays only
+	// because mecbench/load.go still reads it; delete both together.
+	SkippedSolve bool `json:"-"`
 	// FaultsInjected counts fault events injected this slot.
 	FaultsInjected int `json:"faults_injected,omitempty"`
 	// PlayedDelays maps station ID → the realised unit delay of every
@@ -182,10 +184,9 @@ type CellStatus struct {
 	DegradedSlots  int     `json:"degraded_slots"`
 	OverloadSlots  int     `json:"overload_slots"`
 	FaultsInjected int     `json:"faults_injected"`
-	// WarmSolves / SkippedSolves count slots served by warm-started and
-	// skipped solves (zero for policies that solve no LP relaxation).
+	// WarmSolves counts slots served by warm-started solves (zero for
+	// policies that solve no LP relaxation).
 	WarmSolves     int  `json:"warm_solves,omitempty"`
-	SkippedSolves  int  `json:"skipped_solves,omitempty"`
 	PendingObserve bool `json:"pending_observe"`
 }
 
@@ -204,11 +205,7 @@ func (r *Runner) NewCell(policy algorithms.Policy) (*Cell, error) {
 		policy: policy,
 		rng:    rand.New(src),
 		src:    src,
-		res: &Result{
-			Policy:           policy.Name(),
-			PerSlotDelayMS:   make([]float64, 0, T),
-			PerSlotRuntimeMS: make([]float64, 0, T),
-		},
+		res:    &Result{Policy: policy.Name()},
 	}
 	if r.cfg.TrackRegret {
 		c.oracle = algorithms.NewOracle()
@@ -274,11 +271,10 @@ func (c *Cell) Status() CellStatus {
 		OverloadSlots:  c.res.OverloadSlots,
 		FaultsInjected: c.res.FaultsInjected,
 		WarmSolves:     c.res.WarmSolves,
-		SkippedSolves:  c.res.SkippedSolves,
 		PendingObserve: c.pending != nil,
 	}
-	if n := len(c.res.PerSlotDelayMS); n > 0 {
-		st.AvgDelayMS = c.sumDelay / float64(n)
+	if c.decides > 0 {
+		st.AvgDelayMS = c.sumDelay / float64(c.decides)
 	}
 	return st
 }
@@ -436,9 +432,6 @@ func (c *Cell) Decide(volumes []float64) (*CellDecision, error) {
 	if deg.WarmSolve {
 		res.WarmSolves++
 	}
-	if deg.SkippedSolve {
-		res.SkippedSolves++
-	}
 	degraded := decideFailed || deg.FallbackSolves > 0 || deg.RepairViolations > 0
 	if degraded {
 		res.DegradedSlots++
@@ -458,8 +451,7 @@ func (c *Cell) Decide(volumes []float64) (*CellDecision, error) {
 		}
 	}
 	decideMS := float64(elapsed) / float64(time.Millisecond)
-	res.PerSlotDelayMS = append(res.PerSlotDelayMS, avg)
-	res.PerSlotRuntimeMS = append(res.PerSlotRuntimeMS, decideMS)
+	res.TotalRuntimeMS += decideMS
 	c.sumDelay += avg
 
 	// Realised-vs-predicted volume error: under demand uncertainty the
@@ -587,7 +579,6 @@ func (c *Cell) Decide(volumes []float64) (*CellDecision, error) {
 		FallbackSolves: deg.FallbackSolves,
 		Shed:           deg.RepairViolations,
 		WarmSolve:      deg.WarmSolve,
-		SkippedSolve:   deg.SkippedSolve,
 		FaultsInjected: faultCount(eff),
 		PlayedDelays:   make(map[int]float64, len(played)),
 		TrueVolumes:    append([]float64(nil), vols...),
@@ -718,18 +709,18 @@ func (c *Cell) Observe(played map[int]float64, vols []float64) error {
 	return nil
 }
 
-// finish seals the cell's run: aggregate statistics, observer flush, and the
-// flight summary. Called by Runner.Run after the horizon completes.
-func (c *Cell) finish() (*Result, error) {
+// finish seals the cell's run over the per-slot series Runner.Run collected
+// from its decisions: aggregate statistics, observer flush, and the flight
+// summary. The cell's running runtime total already equals the series' sum,
+// summed in the same order.
+func (c *Cell) finish(delays, runtimes []float64) (*Result, error) {
 	r, res := c.r, c.res
 	ob, fl := r.cfg.Observer, r.cfg.Flight
-	for _, d := range res.PerSlotDelayMS {
+	res.PerSlotDelayMS, res.PerSlotRuntimeMS = delays, runtimes
+	for _, d := range delays {
 		res.AvgDelayMS += d
 	}
-	res.AvgDelayMS /= float64(len(res.PerSlotDelayMS))
-	for _, rt := range res.PerSlotRuntimeMS {
-		res.TotalRuntimeMS += rt
-	}
+	res.AvgDelayMS /= float64(len(delays))
 	if ob.Enabled() {
 		ob.Set("sim.avg_delay_ms", res.AvgDelayMS)
 		ob.Set("sim.total_runtime_ms", res.TotalRuntimeMS)

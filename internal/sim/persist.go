@@ -26,11 +26,13 @@ import (
 // resets the live policy's warm state too (Checkpoint) — both histories
 // then run cold from the checkpoint slot and stay bit-identical.
 //
-// Payload layout: a wall-clock section FIRST (runtimes — genuinely
+// Payload layout: a wall-clock section FIRST (the runtime total — genuinely
 // non-deterministic, restored verbatim but excluded from the state digest),
-// then the deterministic section. StateDigest hashes only the bytes after
-// the wall-clock block, so two runs that agree on every decision agree on
-// their digests even though their wall-clock timings differ.
+// then the deterministic section. Both sections hold running totals only, so
+// a payload's size does not grow with the number of slots played.
+// StateDigest hashes only the bytes after the wall-clock block, so two runs
+// that agree on every decision agree on their digests even though their
+// wall-clock timings differ.
 
 // ErrNotFresh rejects RestoreState on a cell that has already run.
 var errNotFresh = fmt.Errorf("sim: RestoreState needs a freshly constructed cell")
@@ -52,7 +54,6 @@ func (c *Cell) ExportState() ([]byte, error) {
 
 	// Wall-clock section: real timings, meaningless for determinism.
 	var wall persist.Encoder
-	wall.Float64Slice(c.res.PerSlotRuntimeMS)
 	wall.Float64(c.res.TotalRuntimeMS)
 	wall.Bool(c.pending != nil)
 	if c.pending != nil {
@@ -75,16 +76,12 @@ func (c *Cell) ExportState() ([]byte, error) {
 	encodeInstSet(&e, c.obsPrevInst)
 
 	// Result counters (the deterministic subset; runtimes live above).
-	e.Float64Slice(c.res.PerSlotDelayMS)
-	e.Float64(c.res.AvgDelayMS)
 	e.Int(c.res.OverloadSlots)
 	e.Int(c.res.FailedStationSlots)
 	e.Int(c.res.DegradedSlots)
 	e.Int(c.res.FallbackSolves)
 	e.Int(c.res.RepairViolations)
 	e.Int(c.res.WarmSolves)
-	e.Int(c.res.SkippedSolves)
-	e.Int(0) // retired rerouted-requests counter; keeps the snapshot layout
 	e.Int(c.res.DecideFailures)
 	e.Int(c.res.FaultsInjected)
 	e.Bool(c.res.Regret != nil)
@@ -155,7 +152,6 @@ func (c *Cell) RestoreState(payload []byte) error {
 		return err
 	}
 	wd := persist.NewDecoder(wallBytes)
-	perSlotRuntime := wd.Float64Slice()
 	totalRuntime := wd.Float64()
 	pendingHasMS := wd.Bool()
 	pendingDecideMS := 0.0
@@ -192,16 +188,12 @@ func (c *Cell) RestoreState(payload []byte) error {
 	}
 
 	res := c.res
-	res.PerSlotDelayMS = d.Float64Slice()
-	res.AvgDelayMS = d.Float64()
 	res.OverloadSlots = d.Int()
 	res.FailedStationSlots = d.Int()
 	res.DegradedSlots = d.Int()
 	res.FallbackSolves = d.Int()
 	res.RepairViolations = d.Int()
 	res.WarmSolves = d.Int()
-	res.SkippedSolves = d.Int()
-	d.Int() // retired rerouted-requests counter
 	res.DecideFailures = d.Int()
 	res.FaultsInjected = d.Int()
 	hasRegret := d.Bool()
@@ -252,7 +244,6 @@ func (c *Cell) RestoreState(payload []byte) error {
 	}
 	c.src.FastForward(draws)
 
-	res.PerSlotRuntimeMS = perSlotRuntime
 	res.TotalRuntimeMS = totalRuntime
 	c.t = slot
 	c.decides = decides
@@ -363,7 +354,6 @@ func InspectState(payload []byte) (*StateInfo, error) {
 		return nil, err
 	}
 	wd := persist.NewDecoder(wallBytes)
-	wd.Float64Slice()
 	wd.Float64()
 	info.Pending = wd.Bool()
 	if err := wd.Err(); err != nil {
@@ -548,8 +538,6 @@ func encodePending(e *persist.Encoder, p *pendingSlot) {
 	e.Int(p.deg.RepairViolations)
 	e.String(string(p.deg.Solver))
 	e.Bool(p.deg.WarmSolve)
-	e.Bool(p.deg.SkippedSolve)
-	e.Int(0) // retired rerouted-requests counter; keeps the snapshot layout
 	e.Float64(p.avg)
 	e.Bool(p.feasible)
 	e.Bool(p.decideFailed)
@@ -582,8 +570,6 @@ func decodePending(d *persist.Decoder, numStations int) (*pendingSlot, error) {
 	}
 	p.deg.Solver = caching.SolverKind(d.String())
 	p.deg.WarmSolve = d.Bool()
-	p.deg.SkippedSolve = d.Bool()
-	d.Int() // retired rerouted-requests counter
 	p.avg = d.Float64()
 	p.feasible = d.Bool()
 	p.decideFailed = d.Bool()

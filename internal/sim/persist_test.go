@@ -347,3 +347,37 @@ func TestRestorePreconditionsAndInspect(t *testing.T) {
 		}
 	}
 }
+
+// TestExportStateSizeIsFlat drives one cell far past its workload horizon, as
+// a serving cell runs: a payload holds running totals, not per-slot series,
+// so its size at 6,400 decides stays within a constant of its size at 64.
+// Greedy_GD keeps the 6,400 decides cheap; the cell's own state is the same
+// for every policy.
+func TestExportStateSizeIsFlat(t *testing.T) {
+	net, w := testEnv(t, 12, 8, 20)
+	r, err := NewRunner(net, w, Config{Seed: 7, DemandsGiven: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := algorithms.NewGreedyGD(histFor(net), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.NewCell(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() int {
+		payload, err := c.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(payload)
+	}
+	drive(t, c, 64)
+	at64 := size()
+	drive(t, c, 6400-64)
+	if at6400 := size(); at6400 > at64+256 {
+		t.Fatalf("ExportState grew from %d B at 64 decides to %d B at 6,400", at64, at6400)
+	}
+}

@@ -96,11 +96,9 @@ type Result struct {
 	// RepairViolations counts requests shed past capacity across the run.
 	RepairViolations int
 	// WarmSolves counts slots whose relaxation warm-started from the previous
-	// slot's optimisation state, and SkippedSolves slots whose relaxation was
-	// skipped outright (bit-identical inputs). Both stay zero for policies
-	// that solve no LP relaxation (Greedy_GD, Pri_GD).
-	WarmSolves    int
-	SkippedSolves int
+	// slot's optimisation state. It stays zero for policies that solve no LP
+	// relaxation (Greedy_GD, Pri_GD).
+	WarmSolves int
 	// DecideFailures counts slots where the policy's Decide itself errored
 	// and the simulator substituted a greedy fallback assignment.
 	DecideFailures int
@@ -249,15 +247,19 @@ func (r *Runner) Run(policy algorithms.Policy) (*Result, error) {
 		return nil, err
 	}
 	T := r.slots()
+	delays, runtimes := make([]float64, 0, T), make([]float64, 0, T)
 	for t := 0; t < T; t++ {
-		if _, err := cell.Decide(nil); err != nil {
+		d, err := cell.Decide(nil)
+		if err != nil {
 			return nil, err
 		}
+		delays = append(delays, d.DelayMS)
+		runtimes = append(runtimes, d.DecideMS)
 		if err := cell.Observe(nil, nil); err != nil {
 			return nil, err
 		}
 	}
-	return cell.finish()
+	return cell.finish(delays, runtimes)
 }
 
 // faultCount returns the slot's injected-fault count (0 for a nil effect).

@@ -48,8 +48,8 @@ func TestWorkspaceSolvesAreBitIdentical(t *testing.T) {
 			if sc.name == "flow" && reused.WarmSolves == 0 {
 				t.Error("the workspace policy never warm-started at flow scale")
 			}
-			if fresh.WarmSolves != 0 || fresh.SkippedSolves != 0 {
-				t.Errorf("fresh-solve policy carried state: warm %d skip %d", fresh.WarmSolves, fresh.SkippedSolves)
+			if fresh.WarmSolves != 0 {
+				t.Errorf("fresh-solve policy carried state: warm %d", fresh.WarmSolves)
 			}
 
 			// The reuse counters must show the two paths actually differed: the
@@ -92,9 +92,8 @@ func TestIncrementalRunIsDeterministic(t *testing.T) {
 					t.Fatalf("slot %d: %x != %x", tt, d, b.PerSlotDelayMS[tt])
 				}
 			}
-			if a.WarmSolves != b.WarmSolves || a.SkippedSolves != b.SkippedSolves {
-				t.Errorf("solve accounting diverged: warm %d/%d skip %d/%d",
-					a.WarmSolves, b.WarmSolves, a.SkippedSolves, b.SkippedSolves)
+			if a.WarmSolves != b.WarmSolves {
+				t.Errorf("solve accounting diverged: warm %d/%d", a.WarmSolves, b.WarmSolves)
 			}
 			snap := o.Snapshot()
 			if got, want := snap.Counters["flow.warm_starts"], int64(a.WarmSolves+b.WarmSolves); got != want {
